@@ -141,6 +141,9 @@ impl ReplicaCluster {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let registry = Arc::new(MetricsRegistry::new());
+        // The publisher's traces sample at the deployment's configured
+        // rate, like the front-end's.
+        registry.tracer().set_sample_rate(cfg.trace_sample_rate);
         let publisher = DeltaPublisher::new(snapshot, keeps, writers, log_cap, &registry);
         Ok(ReplicaCluster {
             servers: Mutex::new(servers),
@@ -245,6 +248,19 @@ impl ReplicaCluster {
     /// The owner's authoritative slice of `shard`.
     pub fn owner_slice(&self, shard: usize) -> Snapshot {
         self.publisher.lock().unwrap().owner_slice(shard)
+    }
+
+    /// Replica `r` of `shard`'s registry (`None` if killed): its
+    /// `wire.*` and `repl.*` metrics and its span tracer.
+    pub fn replica_metrics(&self, shard: usize, r: usize) -> Option<Arc<MetricsRegistry>> {
+        self.servers.lock().unwrap()[shard][r]
+            .as_ref()
+            .map(|s| Arc::clone(s.metrics()))
+    }
+
+    /// The spans the owner's publisher retains (replicate-stage roots).
+    pub fn owner_spans(&self) -> Vec<obsplane::SpanEvent> {
+        self.publisher.lock().unwrap().tracer().events()
     }
 
     /// The owner-side registry (`repl.*` publication metrics).

@@ -85,7 +85,8 @@ impl DeltaPublisher {
     /// A publisher over `snapshot`, partitioned by `keeps` (one host set
     /// per shard), with `writers[s]` the replica wires of shard `s` and
     /// each shard's log retaining `log_cap` records. Metrics register
-    /// into `registry`.
+    /// into `registry`, and the publisher's traces sample at its
+    /// tracer's rate.
     pub fn new(
         snapshot: Snapshot,
         keeps: Vec<BTreeSet<NodeId>>,
@@ -113,6 +114,7 @@ impl DeltaPublisher {
         // perturbations, so span ids stay unique across the deployment.
         let tracer = Tracer::new();
         tracer.set_id_seed(0x4F57_4E45_5253_4944); // "OWNERSID"
+        tracer.set_sample_rate(registry.tracer().sample_rate());
         DeltaPublisher {
             snapshot,
             keeps,

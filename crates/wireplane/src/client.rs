@@ -1,12 +1,13 @@
 //! The blocking client library.
 //!
-//! A [`WireClient`] holds one connection to the front-end and speaks the
-//! client half of the protocol: [`WireClient::query`] for one-shot
-//! requests, [`WireClient::subscribe`] + [`WireClient::next_event`] for
-//! the standing-query stream. Pushed frames ([`Frame::IncidentPush`],
-//! [`Frame::WindowPush`]) may arrive interleaved with a query's reply —
-//! the client buffers them, so a blocking `query()` concurrent with a
-//! closing window never loses a streamed incident.
+//! A [`WireClient`] is a typed wrapper over one [`MuxConn`] to the
+//! front-end: [`WireClient::query`] for one-shot requests,
+//! [`WireClient::subscribe`] + [`WireClient::next_event`] for the
+//! standing-query stream. Pushed frames ([`Frame::IncidentPush`],
+//! [`Frame::WindowPush`]) arrive under the reserved push id, interleaved
+//! with replies; the connection's reader queues them apart from the
+//! replies, so a blocking `query()` concurrent with a closing window
+//! never loses a streamed incident.
 //!
 //! Reconnection is the *caller's* move (drop the client, connect a new
 //! one) because resumption needs the caller's consumed-incident cursor:
@@ -14,15 +15,15 @@
 //! front-end replays exactly the rest — the re-derived log is
 //! bit-identical, with zero duplicates and zero drops.
 
-use std::collections::VecDeque;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
+use std::sync::Arc;
 
 use obsplane::RegistrySnapshot;
 use streamplane::{Incident, StandingQuery, SubscriptionId};
 use switchpointer::query::{QueryRequest, QueryResponse};
 use telemetry::frame::WireError;
 
+use crate::mux::MuxConn;
 use crate::proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
 
 /// A streamed frame delivered to a subscribed client.
@@ -37,11 +38,7 @@ pub enum WireEvent {
 
 /// A blocking client connection to the front-end.
 pub struct WireClient {
-    stream: TcpStream,
-    max_frame: u32,
-    pending: VecDeque<WireEvent>,
-    /// Reused encode scratch: one allocation serves every send.
-    send_buf: Vec<u8>,
+    mux: Arc<MuxConn>,
 }
 
 impl WireClient {
@@ -49,67 +46,40 @@ impl WireClient {
     /// carry the dialed address, so an error that bubbles through retry
     /// rotation still names the peer that refused.
     pub fn connect(addr: SocketAddr, max_frame: u32) -> Result<Self, WireError> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| WireError::from(e).with_peer(addr))?;
-        stream.set_nodelay(true).ok();
-        match Frame::read(&mut stream, max_frame).map_err(|e| e.with_peer(addr))? {
-            Frame::Hello { shard, .. } if shard == FRONT_ROLE => Ok(WireClient {
-                stream,
-                max_frame,
-                pending: VecDeque::new(),
-                send_buf: Vec::new(),
-            }),
-            Frame::Hello { shard, .. } => Err(WireError::Remote(format!(
+        let (mux, shard, _) = MuxConn::connect(addr, max_frame)?;
+        if shard != FRONT_ROLE {
+            return Err(WireError::Remote(format!(
                 "dialed the front-end but shard {shard} answered"
-            ))),
-            Frame::Error(e) => Err(e),
-            other => Err(WireError::Remote(format!(
-                "expected greeting, got frame {:#04x}",
-                other.tag()
-            ))),
+            )));
         }
+        Ok(WireClient { mux })
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        frame.encode_into(&mut self.send_buf)?;
-        self.stream.write_all(&self.send_buf)?;
-        self.stream.flush()?;
-        Ok(())
-    }
-
-    /// Reads frames until `want` extracts a reply, buffering any pushed
-    /// stream frames that arrive in between.
-    fn await_reply<T>(
-        &mut self,
-        mut want: impl FnMut(Frame) -> Result<Option<T>, WireError>,
+    /// One exchange: a typed [`Frame::Error`] answer becomes `Err`, and
+    /// `want` extracts the expected reply (anything else is a protocol
+    /// error naming `what` was expected).
+    fn call<T>(
+        &self,
+        req: &Frame,
+        what: &str,
+        want: impl FnOnce(Frame) -> Option<T>,
     ) -> Result<T, WireError> {
-        loop {
-            let frame = Frame::read(&mut self.stream, self.max_frame)?;
-            match frame {
-                Frame::IncidentPush { seq, incident } => {
-                    self.pending
-                        .push_back(WireEvent::Incident { seq, incident });
-                }
-                Frame::WindowPush(s) => self.pending.push_back(WireEvent::Window(s)),
-                Frame::Error(e) => return Err(e),
-                other => {
-                    if let Some(v) = want(other)? {
-                        return Ok(v);
-                    }
-                }
+        match self.mux.call(req)? {
+            Frame::Error(e) => Err(e),
+            reply => {
+                let tag = reply.tag();
+                want(reply).ok_or_else(|| {
+                    WireError::Remote(format!("expected {what}, got frame {tag:#04x}"))
+                })
             }
         }
     }
 
     /// Executes one query and blocks for its (bit-identical) response.
     pub fn query(&mut self, req: &QueryRequest) -> Result<QueryResponse, WireError> {
-        self.send(&Frame::QueryReq(*req))?;
-        self.await_reply(|f| match f {
-            Frame::QueryRep(resp) => Ok(Some(resp)),
-            other => Err(WireError::Remote(format!(
-                "expected a query reply, got frame {:#04x}",
-                other.tag()
-            ))),
+        self.call(&Frame::QueryReq(*req), "a query reply", |f| match f {
+            Frame::QueryRep(resp) => Some(resp),
+            _ => None,
         })
     }
 
@@ -119,14 +89,14 @@ impl WireClient {
     /// never recorded anywhere). Merge them with
     /// [`RegistrySnapshot::merge`] for cluster-wide histograms.
     pub fn scrape_stats(&mut self) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
-        self.send(&Frame::StatsScrapeReq)?;
-        self.await_reply(|f| match f {
-            Frame::StatsScrapeRep(v) => Ok(Some(v)),
-            other => Err(WireError::Remote(format!(
-                "expected a stats scrape reply, got frame {:#04x}",
-                other.tag()
-            ))),
-        })
+        self.call(
+            &Frame::StatsScrapeReq,
+            "a stats scrape reply",
+            |f| match f {
+                Frame::StatsScrapeRep(v) => Some(v),
+                _ => None,
+            },
+        )
     }
 
     /// Pulls the live cluster's retained spans: `("front", ..)` then one
@@ -136,14 +106,14 @@ impl WireClient {
     /// traces. Feed the result to [`crate::traces::assemble`] to rebuild
     /// cross-process span trees by trace id.
     pub fn scrape_traces(&mut self) -> Result<Vec<(String, Vec<WireSpan>)>, WireError> {
-        self.send(&Frame::TraceScrapeReq)?;
-        self.await_reply(|f| match f {
-            Frame::TraceScrapeRep(v) => Ok(Some(v)),
-            other => Err(WireError::Remote(format!(
-                "expected a trace scrape reply, got frame {:#04x}",
-                other.tag()
-            ))),
-        })
+        self.call(
+            &Frame::TraceScrapeReq,
+            "a trace scrape reply",
+            |f| match f {
+                Frame::TraceScrapeRep(v) => Some(v),
+                _ => None,
+            },
+        )
     }
 
     /// Subscribes to a standing query. `resume_after` is the number of
@@ -156,25 +126,19 @@ impl WireClient {
         query: StandingQuery,
         resume_after: u64,
     ) -> Result<(SubscriptionId, u64), WireError> {
-        self.send(&Frame::SubscribeReq {
+        let req = Frame::SubscribeReq {
             query,
             resume_after,
-        })?;
-        self.await_reply(|f| match f {
-            Frame::SubscribeRep { sub, available } => Ok(Some((sub, available))),
-            other => Err(WireError::Remote(format!(
-                "expected a subscribe ack, got frame {:#04x}",
-                other.tag()
-            ))),
+        };
+        self.call(&req, "a subscribe ack", |f| match f {
+            Frame::SubscribeRep { sub, available } => Some((sub, available)),
+            _ => None,
         })
     }
 
-    /// Blocks for the next streamed event (buffered pushes first).
+    /// Blocks for the next streamed event, in push order.
     pub fn next_event(&mut self) -> Result<WireEvent, WireError> {
-        if let Some(ev) = self.pending.pop_front() {
-            return Ok(ev);
-        }
-        match Frame::read(&mut self.stream, self.max_frame)? {
+        match self.mux.next_push()? {
             Frame::IncidentPush { seq, incident } => Ok(WireEvent::Incident { seq, incident }),
             Frame::WindowPush(s) => Ok(WireEvent::Window(s)),
             Frame::Error(e) => Err(e),

@@ -12,11 +12,13 @@
 //! *measured* here, not just modelled: [`FrontEnd::counters`] reports
 //! actual RPCs and round trips.
 //!
-//! Towards clients the front-end is a server itself: `QueryReq` frames
-//! run the shared [`QueryExecutor`] over the remote router and return the
-//! full response; `SubscribeReq` frames register standing queries whose
-//! incident transitions are pushed as [`Frame::IncidentPush`] when the
-//! hosting process closes a window ([`FrontEnd::close_window`]).
+//! Towards clients the front-end is a server itself, on the same serve
+//! path as the shard servers (`server::Endpoint`): `QueryReq` frames run the
+//! shared [`QueryExecutor`] over the remote router on the serve pool and
+//! return the full response; `SubscribeReq` frames, served in-band,
+//! register standing queries whose incident transitions are pushed as
+//! [`Frame::IncidentPush`] when the hosting process closes a window
+//! ([`FrontEnd::close_window`]).
 //! Subscription topics keep their full incident log, and a subscribe
 //! carries a `resume_after` cursor — a client that lost its connection
 //! mid-stream resubscribes and re-derives the log bit-identically, with
@@ -33,15 +35,13 @@
 //! the in-flight query.
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use netsim::packet::{FlowId, NodeId};
-use obsplane::{Histogram, RegistrySnapshot, SpanEvent};
+use obsplane::{Histogram, RegistrySnapshot, SpanEvent, TraceContext};
 use queryplane::{SharedCtx, WorkerPool};
 use streamplane::{
     fingerprint, pending_fp, summarize, transition_kind, Incident, StandingQuery, SubscriptionId,
@@ -55,71 +55,32 @@ use switchpointer::shard::{BackendRouter, RouterCounters, ShardBackend};
 use telemetry::frame::WireError;
 use telemetry::EpochRange;
 
-use crate::mux::MuxConn;
+use crate::mux::Link;
 use crate::proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
 use crate::retry::RetryPolicy;
-use crate::server::{Listener, WireConfig};
+use crate::server::{Conn, Endpoint, Service, WireConfig};
 
 /// One shard, reached over a (lazily re-established) multiplexed
-/// loopback connection ([`MuxConn`]) to whichever of its replicas is
-/// currently active. Implements [`ShardBackend`], so the core router
-/// treats it exactly like a local slice. Any number of query workers
-/// may call into the same `RemoteShard` concurrently: their exchanges
-/// interleave on the shared socket instead of convoying behind a
-/// connection mutex, and same-turn requests combine into one `Batch`
-/// frame per shard.
+/// loopback connection ([`MuxConn`](crate::mux::MuxConn)) to whichever
+/// of its replicas is currently active. Implements [`ShardBackend`], so
+/// the core router treats it exactly like a local slice. Any number of
+/// query workers may call into the same `RemoteShard` concurrently:
+/// their exchanges interleave on the shared socket instead of convoying
+/// behind a connection mutex, and same-turn requests combine into one
+/// `Batch` frame per shard.
 pub struct RemoteShard {
     shard: usize,
-    /// The shard's replica addresses (primary first). `active` indexes
-    /// the replica the live connection points at; it only moves forward
-    /// (mod `addrs.len()`) when a replica exhausts its retry budget.
-    addrs: Vec<SocketAddr>,
-    active: AtomicUsize,
-    conn: Mutex<Option<Arc<MuxConn>>>,
-    /// Envelope frames/bytes written by connections already retired
-    /// (dead and replaced); totals = these + the live connection's.
-    retired_frames: AtomicU64,
-    retired_bytes: AtomicU64,
-    max_frame: u32,
-    retry: RetryPolicy,
+    link: Link,
     rpcs: AtomicU64,
-    reconnects: AtomicU64,
-    failovers: AtomicU64,
     /// Per-exchange round-trip latency, when the dialer observes it
     /// (`wire.rtt_ns.shard{N}` in the front-end's registry).
     rtt_ns: Option<Arc<Histogram>>,
-    /// First-failure → first-success-on-another-replica wall-clock
-    /// (`wire.failover_ns`), when observed.
-    failover_ns: Option<Arc<Histogram>>,
     /// The registry whose tracer mints wire-stage spans for this link.
     /// Set by the front-end after connect; plain handles stay untraced.
     trace_reg: Option<Arc<obsplane::MetricsRegistry>>,
 }
 
 impl RemoteShard {
-    /// Dials `addr` and verifies the greeting names shard `shard`.
-    pub fn connect(shard: usize, addr: SocketAddr, max_frame: u32) -> Result<Self, WireError> {
-        Self::connect_observed(shard, addr, max_frame, None)
-    }
-
-    /// [`RemoteShard::connect`], recording each exchange's round trip
-    /// into `rtt_ns` when provided.
-    pub fn connect_observed(
-        shard: usize,
-        addr: SocketAddr,
-        max_frame: u32,
-        rtt_ns: Option<Arc<Histogram>>,
-    ) -> Result<Self, WireError> {
-        Self::connect_replicated(
-            shard,
-            vec![addr],
-            max_frame,
-            RetryPolicy::immediate(2),
-            rtt_ns,
-            None,
-        )
-    }
-
     /// Connects to a shard served by a replica set: `addrs[0]` is the
     /// primary, the rest are standbys taken in order when the active
     /// replica exhausts `retry`. At least one address must be dialable
@@ -132,76 +93,24 @@ impl RemoteShard {
         rtt_ns: Option<Arc<Histogram>>,
         failover_ns: Option<Arc<Histogram>>,
     ) -> Result<Self, WireError> {
-        assert!(!addrs.is_empty(), "a shard needs at least one replica");
-        let rs = RemoteShard {
+        Ok(RemoteShard {
             shard,
-            addrs,
-            active: AtomicUsize::new(0),
-            conn: Mutex::new(None),
-            retired_frames: AtomicU64::new(0),
-            retired_bytes: AtomicU64::new(0),
-            max_frame,
-            retry,
+            link: Link::connect(shard, addrs, max_frame, retry, failover_ns)?,
             rpcs: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
             rtt_ns,
-            failover_ns,
             trace_reg: None,
-        };
-        // Walk the set until one replica greets; remember it as active.
-        let n = rs.addrs.len();
-        let mut last_err = None;
-        for i in 0..n {
-            match rs.dial(rs.addrs[i]) {
-                Ok(mux) => {
-                    rs.active.store(i, Ordering::Relaxed);
-                    *rs.conn.lock().unwrap() = Some(mux);
-                    return Ok(rs);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("non-empty replica set"))
+        })
     }
 
     /// The replica the live connection currently points at.
     pub fn active_replica(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.link.active()
     }
 
-    fn dial(&self, addr: SocketAddr) -> Result<Arc<MuxConn>, WireError> {
-        let (mux, shard, _n_shards) = MuxConn::connect(addr, self.max_frame)?;
-        if shard as usize != self.shard {
-            return Err(WireError::Remote(format!(
-                "dialed shard {} at {addr} but {shard} answered",
-                self.shard
-            )));
-        }
-        Ok(mux)
-    }
-
-    /// Drops `mux` from the slot if it is still the live connection,
-    /// folding its send counters into the retired totals. The `ptr_eq`
-    /// guard makes concurrent retirements idempotent: only the caller
-    /// that actually removes the connection absorbs its counters.
-    fn retire(&self, mux: &Arc<MuxConn>) {
-        let mut guard = self.conn.lock().unwrap();
-        if guard.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, mux)) {
-            self.retired_frames
-                .fetch_add(mux.frames_sent(), Ordering::Relaxed);
-            self.retired_bytes
-                .fetch_add(mux.bytes_sent(), Ordering::Relaxed);
-            *guard = None;
-        }
-    }
-
-    /// One request/reply exchange. A transport failure drops the
-    /// connection and retries over fresh dials under the retry policy,
-    /// rotating to the next replica when the active one exhausts its
-    /// budget — the server keeps no per-connection state and all shard
-    /// RPCs are reads, so the retried request is idempotent by
-    /// construction and a mid-query failover is invisible to the caller.
+    /// One request/reply exchange over the retrying link. The server
+    /// keeps no per-connection state and all shard RPCs are reads, so a
+    /// retried request is idempotent by construction and a mid-query
+    /// failover is invisible to the caller.
     fn call(&self, req: &Frame) -> Result<Frame, WireError> {
         self.call_inner(req, true)
     }
@@ -210,127 +119,45 @@ impl RemoteShard {
     /// histogram — the scrape path uses this so pulling metrics never
     /// perturbs the metrics being pulled.
     fn call_inner(&self, req: &Frame, observe: bool) -> Result<Frame, WireError> {
-        let n = self.addrs.len();
-        let per_replica = self.retry.attempts();
-        let budget = per_replica * n;
-        let mut failures = 0usize;
-        let mut first_failure: Option<Instant> = None;
-        let mut failed_over = false;
-        loop {
-            // Short-lock acquisition: take (or dial) the shared mux under
-            // the slot lock, then exchange *outside* it — concurrent
-            // callers multiplex on the socket instead of queueing on the
-            // mutex, which is the whole point of the fast path.
-            let dialed = {
-                let mut guard = self.conn.lock().unwrap();
-                match guard.as_ref() {
-                    Some(m) => Ok(Arc::clone(m)),
-                    None => {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        self.dial(self.addrs[idx]).inspect(|m| {
-                            if failures > 0 || self.rpcs.load(Ordering::Relaxed) > 0 {
-                                self.reconnects.fetch_add(1, Ordering::Relaxed);
-                            }
-                            *guard = Some(Arc::clone(m));
-                        })
-                    }
-                }
-            };
-            let mux = match dialed {
-                Ok(m) => m,
-                Err(e) => {
-                    failures += 1;
-                    first_failure.get_or_insert_with(Instant::now);
-                    if failures >= budget {
-                        return Err(e);
-                    }
-                    // A replica that exhausted its attempts is presumed
-                    // dead: rotate to the next one.
-                    if failures.is_multiple_of(per_replica) && n > 1 {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        self.active.store((idx + 1) % n, Ordering::Relaxed);
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        failed_over = true;
-                    }
-                    std::thread::sleep(self.retry.backoff(failures as u32 - 1));
-                    continue;
-                }
-            };
-            // Wire-stage span: when the calling thread carries a trace
-            // context (a query executing on the front pool), the
-            // envelope entry gets a child context so the server's
-            // serve-stage span links under this exchange. Scrapes
-            // (`observe: false`) never carry context — pulling traces
-            // must not mint traces.
-            let trace = if observe {
-                self.trace_reg.as_ref().and_then(|reg| {
-                    obsplane::current()
-                        .map(|parent| (parent, parent.child(reg.tracer().next_span_id())))
-                })
-            } else {
-                None
-            };
-            let started = Instant::now();
-            match mux.call_ctx(req, trace.map(|(_, wire)| wire)) {
-                Ok(Frame::Error(e)) => return Err(e),
-                Ok(reply) => {
-                    if observe {
-                        self.rpcs.fetch_add(1, Ordering::Relaxed);
-                        if let Some(h) = &self.rtt_ns {
-                            h.record_duration(started.elapsed());
-                        }
-                    }
-                    if let (Some((parent, wire)), Some(reg)) = (trace, &self.trace_reg) {
-                        let t = reg.tracer();
-                        t.submit(
-                            SpanEvent {
-                                class: req.kind_name(),
-                                stage: "wire",
-                                epoch: 0,
-                                shard: self.shard as u32,
-                                start_ns: t.offset_ns(started),
-                                dur_ns: started.elapsed().as_nanos() as u64,
-                                trace_id: wire.trace_id,
-                                span_id: wire.span_id,
-                                parent_id: parent.span_id,
-                                steals: 0,
-                            },
-                            wire.sampled,
-                        );
-                    }
-                    if failed_over {
-                        if let (Some(h), Some(t0)) = (&self.failover_ns, first_failure) {
-                            h.record_duration(t0.elapsed());
-                        }
-                    }
-                    return Ok(reply);
-                }
-                Err(e @ WireError::Io { .. }) => {
-                    // Connection died (killed primary, injected failure):
-                    // retire it and go back around under the same budget.
-                    // The mux poisons itself with a peer-tagged error, so
-                    // `e` already names the replica that failed.
-                    self.retire(&mux);
-                    failures += 1;
-                    first_failure.get_or_insert_with(Instant::now);
-                    if failures >= budget {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        return Err(e.with_peer(self.addrs[idx]));
-                    }
-                    if failures.is_multiple_of(per_replica) && n > 1 {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        self.active.store((idx + 1) % n, Ordering::Relaxed);
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        failed_over = true;
-                    }
-                    std::thread::sleep(self.retry.backoff(failures as u32 - 1));
-                }
-                Err(e) => {
-                    self.retire(&mux);
-                    return Err(e);
-                }
+        // Wire-stage span: when the calling thread carries a trace
+        // context (a query executing on the front pool), the envelope
+        // entry gets a child context so the server's serve-stage span
+        // links under this exchange. Scrapes (`observe: false`) never
+        // carry context — pulling traces must not mint traces.
+        let trace = if observe {
+            self.trace_reg.as_ref().and_then(|reg| {
+                obsplane::current()
+                    .map(|parent| (parent, parent.child(reg.tracer().next_span_id())))
+            })
+        } else {
+            None
+        };
+        let (reply, started) = self.link.call(req, trace.map(|(_, wire)| wire))?;
+        if observe {
+            self.rpcs.fetch_add(1, Ordering::Relaxed);
+            if let Some(h) = &self.rtt_ns {
+                h.record_duration(started.elapsed());
             }
         }
+        if let (Some((parent, wire)), Some(reg)) = (trace, &self.trace_reg) {
+            let t = reg.tracer();
+            t.submit(
+                SpanEvent {
+                    class: req.kind_name(),
+                    stage: "wire",
+                    epoch: 0,
+                    shard: self.shard as u32,
+                    start_ns: t.offset_ns(started),
+                    dur_ns: started.elapsed().as_nanos() as u64,
+                    trace_id: wire.trace_id,
+                    span_id: wire.span_id,
+                    parent_id: parent.span_id,
+                    steals: 0,
+                },
+                wire.sampled,
+            );
+        }
+        Ok(reply)
     }
 
     /// A reply of the wrong type is a protocol error.
@@ -339,7 +166,7 @@ impl RemoteShard {
         got: Result<Frame, WireError>,
         extract: impl FnOnce(Frame) -> Option<T>,
     ) -> T {
-        let active = self.addrs[self.active.load(Ordering::Relaxed)];
+        let active = self.link.active_addr();
         match got {
             Ok(frame) => {
                 let tag = frame.tag();
@@ -399,50 +226,31 @@ impl RemoteShard {
 
     /// Reconnects performed (failure-injection visibility).
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        self.link.reconnects()
     }
 
     /// Replica rotations performed (0 until a replica actually died).
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.link.failovers()
     }
 
     /// Envelope frames written to this shard so far (retired connections
-    /// included; one `Batch` carrying a whole wave counts once). Reads
-    /// retired + live under the slot lock — absorption also happens
-    /// under it, so the total is monotone.
+    /// included; one `Batch` carrying a whole wave counts once).
     pub fn wire_frames_sent(&self) -> u64 {
-        let guard = self.conn.lock().unwrap();
-        let live = guard.as_ref().map_or(0, |m| m.frames_sent());
-        self.retired_frames.load(Ordering::Relaxed) + live
+        self.link.frames_sent()
     }
 
     /// Envelope bytes written to this shard so far, length prefixes
     /// included (retired connections included).
     pub fn wire_bytes_sent(&self) -> u64 {
-        let guard = self.conn.lock().unwrap();
-        let live = guard.as_ref().map_or(0, |m| m.bytes_sent());
-        self.retired_bytes.load(Ordering::Relaxed) + live
+        self.link.bytes_sent()
     }
 
     /// Test hook: force-close the live connection so every in-flight
     /// exchange on it fails over and the next call must re-establish it
     /// (simulates a mid-stream connection kill).
     pub fn kill_connection(&self) {
-        let taken = {
-            let mut guard = self.conn.lock().unwrap();
-            let taken = guard.take();
-            if let Some(m) = &taken {
-                self.retired_frames
-                    .fetch_add(m.frames_sent(), Ordering::Relaxed);
-                self.retired_bytes
-                    .fetch_add(m.bytes_sent(), Ordering::Relaxed);
-            }
-            taken
-        };
-        if let Some(m) = taken {
-            m.kill();
-        }
+        self.link.kill();
     }
 }
 
@@ -580,8 +388,7 @@ impl ShardBackend for RemoteShard {
 
 /// One subscribed client connection on one topic.
 struct Watcher {
-    conn_id: u64,
-    writer: Arc<Mutex<TcpStream>>,
+    conn: Arc<Conn>,
     /// Next incident seq to push.
     sent: u64,
 }
@@ -637,7 +444,6 @@ struct FrontInner {
     window: AtomicU64,
     counters: Mutex<RouterCounters>,
     queries: AtomicU64,
-    next_conn: AtomicU64,
     /// Envelope frames the whole wave put on the wire, summed over
     /// shards (`wire.frames_per_wave`): with batching this tracks
     /// shards × rounds, independent of host count.
@@ -823,23 +629,86 @@ impl FrontInner {
         total.wave_rounds += c.wave_rounds;
         total.rounds += c.rounds;
     }
+}
 
-    /// Pushes a prebuilt frame to a client writer; a failed write means
-    /// the client is gone (its watcher is reaped by the caller).
-    fn push(writer: &Arc<Mutex<TcpStream>>, frame: &Frame) -> bool {
-        let Ok(bytes) = frame.to_frame_bytes() else {
-            return false;
-        };
-        let mut w = writer.lock().unwrap();
-        w.write_all(&bytes).and_then(|_| w.flush()).is_ok()
+impl Service for FrontInner {
+    fn hello(&self) -> Frame {
+        Frame::Hello {
+            shard: FRONT_ROLE,
+            n_shards: self.shards.len() as u16,
+        }
     }
+
+    /// Subscriptions: ack, replay the backlog from the client's cursor,
+    /// and register the connection as a watcher — all under the topic
+    /// lock, so a concurrent window close never slips an incident
+    /// between the replay and the registration.
+    fn serve_in_band(&self, req: &Frame, _ctx: Option<TraceContext>, conn: &Arc<Conn>) -> Frame {
+        let Frame::SubscribeReq {
+            query,
+            resume_after,
+        } = req
+        else {
+            return cannot_answer(req);
+        };
+        let mut topics = self.topics.lock().unwrap();
+        let i = topics.topic_for(*query);
+        let (sub, topic) = &mut topics.list[i];
+        let available = topic.log.len() as u64;
+        // Zero duplicates (nothing below the cursor) and zero drops
+        // (everything from it on).
+        let mut sent = (*resume_after).min(available);
+        while sent < available {
+            let frame = Frame::IncidentPush {
+                seq: sent,
+                incident: topic.log[sent as usize].clone(),
+            };
+            if !conn.push(frame) {
+                break;
+            }
+            sent += 1;
+        }
+        topic.watchers.push(Watcher {
+            conn: Arc::clone(conn),
+            sent,
+        });
+        Frame::SubscribeRep {
+            sub: *sub,
+            available,
+        }
+    }
+
+    fn serve_read(self: &Arc<Self>, req: &Frame, _ctx: Option<TraceContext>) -> Frame {
+        let reply = match req {
+            Frame::QueryReq(q) => Ok(Frame::QueryRep(self.execute(q).0)),
+            Frame::StatsScrapeReq => self.scrape_all().map(Frame::StatsScrapeRep),
+            Frame::TraceScrapeReq => self.scrape_traces_all().map(Frame::TraceScrapeRep),
+            other => return cannot_answer(other),
+        };
+        reply.unwrap_or_else(Frame::Error)
+    }
+
+    /// Reaps the closed connection's watchers.
+    fn closed(&self, conn_id: u64) {
+        let mut topics = self.topics.lock().unwrap();
+        for (_, topic) in &mut topics.list {
+            topic.watchers.retain(|w| w.conn.id != conn_id);
+        }
+    }
+}
+
+fn cannot_answer(req: &Frame) -> Frame {
+    Frame::Error(WireError::Remote(format!(
+        "front-end cannot answer frame {:#04x}",
+        req.tag()
+    )))
 }
 
 /// The client-facing service front-end over `N` wire-connected shard
 /// servers.
 pub struct FrontEnd {
     inner: Arc<FrontInner>,
-    listener: Listener,
+    endpoint: Endpoint,
 }
 
 impl FrontEnd {
@@ -920,128 +789,16 @@ impl FrontEnd {
             window: AtomicU64::new(0),
             counters: Mutex::new(RouterCounters::default()),
             queries: AtomicU64::new(0),
-            next_conn: AtomicU64::new(0),
             wave_frames,
             query_bytes,
         });
-        let serving = Arc::clone(&inner);
-        let max_frame = cfg.max_frame;
-        let n_shards = inner.shards.len() as u16;
-        let listener = Listener::spawn("wireplane-front", cfg.max_conns, move |mut stream| {
-            let conn_id = serving.next_conn.fetch_add(1, Ordering::Relaxed);
-            if (Frame::Hello {
-                shard: FRONT_ROLE,
-                n_shards,
-            })
-            .write(&mut stream)
-            .is_err()
-            {
-                return;
-            }
-            let writer = match stream.try_clone() {
-                Ok(w) => Arc::new(Mutex::new(w)),
-                Err(_) => return,
-            };
-            loop {
-                let req = match Frame::read(&mut stream, max_frame) {
-                    Ok(req) => req,
-                    Err(WireError::Io { .. }) => break,
-                    Err(e) => {
-                        let _ = FrontInner::push(&writer, &Frame::Error(e));
-                        break;
-                    }
-                };
-                match req {
-                    Frame::QueryReq(q) => {
-                        // A shard staying unreachable panics the executor;
-                        // surface it to the client as a typed error
-                        // instead of a hung connection.
-                        let reply = match catch_unwind(AssertUnwindSafe(|| serving.execute(&q))) {
-                            Ok((resp, _, _)) => Frame::QueryRep(resp),
-                            Err(_) => Frame::Error(WireError::Remote(
-                                "query execution failed (shard unreachable?)".to_string(),
-                            )),
-                        };
-                        if !FrontInner::push(&writer, &reply) {
-                            break;
-                        }
-                    }
-                    Frame::SubscribeReq {
-                        query,
-                        resume_after,
-                    } => {
-                        let mut topics = serving.topics.lock().unwrap();
-                        let i = topics.topic_for(query);
-                        let (sub, topic) = &mut topics.list[i];
-                        let available = topic.log.len() as u64;
-                        let ack = Frame::SubscribeRep {
-                            sub: *sub,
-                            available,
-                        };
-                        if !FrontInner::push(&writer, &ack) {
-                            break;
-                        }
-                        // Replay the backlog from the client's cursor:
-                        // zero duplicates (nothing below the cursor) and
-                        // zero drops (everything from it on).
-                        let mut sent = resume_after.min(available);
-                        while sent < available {
-                            let frame = Frame::IncidentPush {
-                                seq: sent,
-                                incident: topic.log[sent as usize].clone(),
-                            };
-                            if !FrontInner::push(&writer, &frame) {
-                                break;
-                            }
-                            sent += 1;
-                        }
-                        topic.watchers.push(Watcher {
-                            conn_id,
-                            writer: Arc::clone(&writer),
-                            sent,
-                        });
-                    }
-                    Frame::StatsScrapeReq => {
-                        let reply = match serving.scrape_all() {
-                            Ok(v) => Frame::StatsScrapeRep(v),
-                            Err(e) => Frame::Error(e),
-                        };
-                        if !FrontInner::push(&writer, &reply) {
-                            break;
-                        }
-                    }
-                    Frame::TraceScrapeReq => {
-                        let reply = match serving.scrape_traces_all() {
-                            Ok(v) => Frame::TraceScrapeRep(v),
-                            Err(e) => Frame::Error(e),
-                        };
-                        if !FrontInner::push(&writer, &reply) {
-                            break;
-                        }
-                    }
-                    other => {
-                        let e = WireError::Remote(format!(
-                            "front-end cannot answer frame {:#04x}",
-                            other.tag()
-                        ));
-                        if !FrontInner::push(&writer, &Frame::Error(e)) {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Connection closed: reap this connection's watchers.
-            let mut topics = serving.topics.lock().unwrap();
-            for (_, topic) in &mut topics.list {
-                topic.watchers.retain(|w| w.conn_id != conn_id);
-            }
-        })?;
-        Ok(FrontEnd { inner, listener })
+        let endpoint = Endpoint::spawn("wireplane-front", &cfg, Arc::clone(&inner))?;
+        Ok(FrontEnd { inner, endpoint })
     }
 
     /// The bound client-facing loopback address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.addr()
+        self.endpoint.addr()
     }
 
     /// Executes one request locally (without a client connection) through
@@ -1218,7 +975,7 @@ impl FrontEnd {
 
         // Push new incidents per watcher, then one window digest per
         // distinct client connection.
-        let mut digests: HashMap<u64, Arc<Mutex<TcpStream>>> = HashMap::new();
+        let mut digests: HashMap<u64, Arc<Conn>> = HashMap::new();
         for (_, topic) in &mut topics.list {
             let log = &topic.log;
             topic.watchers.retain_mut(|w| {
@@ -1227,19 +984,19 @@ impl FrontEnd {
                         seq: w.sent,
                         incident: log[w.sent as usize].clone(),
                     };
-                    if !FrontInner::push(&w.writer, &frame) {
+                    if !w.conn.push(frame) {
                         return false;
                     }
                     w.sent += 1;
                 }
                 digests
-                    .entry(w.conn_id)
-                    .or_insert_with(|| Arc::clone(&w.writer));
+                    .entry(w.conn.id)
+                    .or_insert_with(|| Arc::clone(&w.conn));
                 true
             });
         }
-        for writer in digests.values() {
-            let _ = FrontInner::push(writer, &Frame::WindowPush(summary));
+        for conn in digests.values() {
+            conn.push(Frame::WindowPush(summary));
         }
         summary
     }
@@ -1272,7 +1029,7 @@ impl FrontEnd {
     /// Graceful shutdown of the client listener (shard connections close
     /// with the struct).
     pub fn shutdown(mut self) {
-        self.listener.shutdown();
+        self.endpoint.shutdown();
     }
 }
 

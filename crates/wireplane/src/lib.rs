@@ -5,14 +5,25 @@
 //! accounted through [`CostModel`](switchpointer::cost::CostModel)
 //! terms. This crate puts the same architecture behind a **real wire**:
 //! a std-only, length-prefix-framed binary RPC protocol over loopback
-//! TCP (see [`telemetry::frame`] for the framing and `DESIGN.md` §13 for
-//! the frame layout and RPC table). Three roles:
+//! TCP (see [`telemetry::frame`] for the framing and `DESIGN.md` §13 and
+//! §17 for the frame layout and RPC table).
+//!
+//! There is one transport. A connection opens with the server's bare
+//! [`Frame::Hello`]; after it every frame in either direction is a
+//! `Tagged`/`Batch`/`BatchRep` envelope, with one payload codec. Every
+//! client connection is a [`MuxConn`]; server pushes ride it as `Tagged`
+//! under the reserved [`proto::PUSH_REQ_ID`]. Every server runs the same
+//! serve loop: one reader per connection serves sequenced and stateful
+//! requests in-band and hands read-only ones to a fixed serve pool of
+//! [`server::SERVE_WORKERS`] threads behind a bounded queue, so a
+//! server's thread count does not grow with the request rate. Three
+//! roles:
 //!
 //! * **[`ShardServer`]** — owns one
 //!   [`DirectoryShard`](switchpointer::shard::DirectoryShard) plus its
-//!   per-shard snapshot slice ([`queryplane::Snapshot::shard_slice`]) and
-//!   answers decode / host-read / fan-out RPCs. Thread-per-connection
-//!   with a bounded accept pool and graceful shutdown.
+//!   per-shard snapshot slice ([`queryplane::Snapshot::shard_slice`]),
+//!   answers decode / host-read / fan-out RPCs and applies the
+//!   replication log in-band. Bounded accept pool, graceful shutdown.
 //! * **[`FrontEnd`]** — embeds the core
 //!   [`BackendRouter`](switchpointer::shard::BackendRouter) over
 //!   [`RemoteShard`] connections: pointer unions reassemble from masked
@@ -21,9 +32,10 @@
 //!   batched-RPC term the cost model prices, made measurable
 //!   ([`FrontEnd::counters`]). Serves clients: blocking queries plus
 //!   standing-query subscriptions whose incidents push as windows close.
-//! * **[`WireClient`]** — the blocking client library: `query()`,
-//!   `subscribe()`, `next_incident()`/`drain_window()` streaming, and
-//!   cursor-based resumption after a dropped connection.
+//! * **[`WireClient`]** — the blocking client library over one
+//!   [`MuxConn`]: `query()`, `subscribe()`,
+//!   `next_incident()`/`drain_window()` streaming, and cursor-based
+//!   resumption after a dropped connection.
 //!
 //! The repo invariant survives the wire: verdicts served through N
 //! wire-connected shard servers are **bit-identical** to the in-process

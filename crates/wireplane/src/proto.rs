@@ -4,13 +4,24 @@
 //!
 //! Design rules:
 //!
-//! * **Fixed-width little-endian, no padding** — encode→decode is the
-//!   identity for every frame type (property-pinned in
-//!   `tests/wireplane_props.rs`), so a verdict that crosses the wire is
-//!   bit-identical to one that never left the process.
+//! * **One codec.** Scalars are fixed-width little-endian with no
+//!   padding; the six hot wave frames (`StoreLenWaveReq/Rep`,
+//!   `FilterWaveReq`, `TopKWaveReq`, `SizesWaveReq`, `UnionSliceRep`)
+//!   use compact forms — var-int lengths, delta-packed host ids and
+//!   run-length bitsets. Encode→decode is the identity for every frame
+//!   type (property-pinned in `tests/wireplane_props.rs`), so a verdict
+//!   that crosses the wire is bit-identical to one that never left the
+//!   process.
+//! * **Envelopes after the greeting.** A connection opens with a bare
+//!   [`Frame::Hello`] (or a bare [`Frame::Error`] refusal from a full
+//!   accept pool); every later frame in either direction is a
+//!   [`Frame::Tagged`], [`Frame::Batch`] or [`Frame::BatchRep`]
+//!   envelope. Server pushes travel as `Tagged` under the reserved
+//!   [`PUSH_REQ_ID`].
 //! * **Decoding never panics.** Truncated or corrupt input surfaces as a
 //!   typed [`WireError`]; collection lengths are bounded by the bytes
-//!   actually present before any allocation.
+//!   actually present before any allocation, and every bitset in one
+//!   frame draws down one shared allocation budget.
 //! * **One tag byte per frame type.** Requests and replies pair up
 //!   (`0x1x` shard requests, `0x2x` shard replies, `0x3x` client-plane
 //!   frames); [`Frame::Error`] carries a [`WireError`] to the peer.
@@ -33,6 +44,7 @@
 //! | `DeltaAppend` / `DeltaAck` | owner → replica | one sequenced replication-log record |
 //! | `SnapshotInstall` | owner → replica | full-state bootstrap at a seq |
 //! | `ReplicaStatusReq/Rep` | any → replica | applied-seq probe |
+//! | `Tagged`, `Batch` / `BatchRep` | any | envelopes: every frame after `Hello` |
 //! | `Error` | any | typed failure |
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -1044,18 +1056,17 @@ impl Wire for WireSpan {
 }
 
 // ----------------------------------------------------------------------
-// Trace-context envelope extension
+// Trace context in envelopes
 // ----------------------------------------------------------------------
 //
 // Envelope entries may carry a compact [`TraceContext`] between the
 // correlation id and the inner tag, introduced by a marker byte that is
-// never a valid frame tag. A context-free envelope therefore encodes
-// byte-identically to the PR 9 layout (differentially pinned in
-// `tests/wireplane_props.rs`), and old endpoints keep decoding frames
-// from new peers that have tracing disabled.
+// never a valid frame tag. The envelope is the only place a context
+// travels; a context-free entry costs no bytes for it (layout pinned in
+// `tests/wireplane_props.rs`).
 
 /// Marker byte announcing an embedded trace context. `0xFF` is not a
-/// frame tag and never will be, so old payloads are unambiguous.
+/// frame tag and never will be, so the position is unambiguous.
 const TRACE_CTX_MARKER: u8 = 0xFF;
 
 /// Appends the optional context: nothing, or `0xFF | trace | span | flags`.
@@ -1095,17 +1106,35 @@ fn dec_ctx_then_tag(d: &mut Dec) -> Result<(Option<TraceContext>, u8), WireError
     }
 }
 
+/// One batch entry's body: `tag | len | payload`.
+fn enc_entry(f: &Frame, e: &mut Enc) {
+    e.put_u8(f.tag());
+    let p = f.payload();
+    e.put_varint(p.len() as u64);
+    e.put_raw(&p);
+}
+
+/// A batch's entry count. Every entry costs at least 6 bytes of header,
+/// so a count the remaining bytes cannot hold is refused before any
+/// reservation.
+fn dec_entry_count(d: &mut Dec) -> Result<usize, WireError> {
+    let count = d.get_varint()? as usize;
+    if count > d.remaining() / 6 + 1 {
+        return Err(WireError::Truncated {
+            needed: count.saturating_mul(6),
+            have: d.remaining(),
+        });
+    }
+    Ok(count)
+}
+
 // ----------------------------------------------------------------------
-// Compact batch codec helpers
+// Compact forms of the hot wave frames
 // ----------------------------------------------------------------------
 //
-// Inside a [`Frame::Tagged`]/[`Frame::Batch`] envelope, payloads use a
-// *compact* encoding: var-int lengths, delta-packed host-id lists and
-// run-length bitsets, instead of the fixed-width legacy layout. The
-// compact codec is differential-tested against the legacy one — for
-// every frame type, compact decode(compact encode(f)) == legacy
-// decode(legacy encode(f)) — so a value that crosses the wire in a
-// batch is bit-identical to one that crossed frame-per-call.
+// The wave requests and their id-list / bitset replies dominate the
+// bytes a query moves, so they travel as var-int lengths, delta-packed
+// host-id lists and run-length bitsets rather than fixed-width arrays.
 
 /// Delta-packed id list: `count | first | zigzag deltas`. A sorted host
 /// list costs ~1 byte per id instead of 4.
@@ -1144,14 +1173,14 @@ fn dec_ids_delta(d: &mut Dec) -> Result<Vec<NodeId>, WireError> {
 }
 
 /// Cumulative allocation budget, in bytes of decoded bitset backing
-/// words, shared by ALL compact payloads of one frame. A run-length
-/// bitset legitimately compresses far below its word array, so capacity
-/// cannot be bounded by the bytes encoding *it* — but it can be bounded
-/// by what one maximal legacy frame could carry: [`MAX_FRAME`] bytes of
-/// words. Charging every bitset in a frame against one shared budget
-/// means a hostile `Batch` of many compactly-encoded huge bitsets
-/// allocates no more in total than a single maximal legacy frame would,
-/// instead of 64 MB *per ~10-byte entry*.
+/// words, shared by ALL bitsets of one frame. A run-length bitset
+/// legitimately compresses far below its word array, so capacity cannot
+/// be bounded by the bytes encoding *it* — but it can be bounded by what
+/// one maximal frame of raw words could carry: [`MAX_FRAME`] bytes.
+/// Charging every bitset in a frame against one shared budget means a
+/// hostile `Batch` of many run-length-encoded huge bitsets allocates no
+/// more in total than one maximal frame of words would, instead of
+/// 64 MB *per ~10-byte entry*.
 const COMPACT_BITSET_BUDGET: usize = MAX_FRAME as usize;
 
 /// Run-length bitset: `capacity | runs…`, alternating zero/one runs
@@ -1179,7 +1208,7 @@ fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError>
     let nbits = d.get_varint()? as usize;
     // Charge the decoded word-array size against the frame's shared
     // [`COMPACT_BITSET_BUDGET`]: a single bitset may claim at most what
-    // one maximal legacy frame could carry, and every bitset in the
+    // one maximal frame of words could carry, and every bitset in the
     // same frame draws down the same budget, so hostile repetition
     // inside a `Batch` cannot multiply the allocation.
     let word_bytes = nbits.div_ceil(64).saturating_mul(8);
@@ -1361,11 +1390,6 @@ pub enum Frame {
         shard: u16,
         seq: u64,
         record: DeltaRecord,
-        /// Optional causal context of the publish that produced this
-        /// record, so replica applies join the originating trace.
-        /// Encoded as an optional trailer — context-free frames are
-        /// byte-identical to the pre-trace layout.
-        ctx: Option<TraceContext>,
     },
     /// Full-state bootstrap: an encoded per-shard snapshot slice
     /// ([`queryplane::Snapshot`] bytes — opaque here because decoding
@@ -1389,16 +1413,16 @@ pub enum Frame {
         applied: u64,
     },
 
-    // Multiplexing envelopes (fast path; PR 9). Inner frames travel in
-    // their *compact* payload form ([`Frame::compact_payload`]) so the
-    // envelope is also where the var-int/delta codec pays off.
+    // Envelopes: after the greeting, every frame on a connection is one
+    // of these three.
     /// One request or reply stamped with the caller's correlation id, so
-    /// many exchanges can share a socket and complete out of order.
+    /// many exchanges can share a socket and complete out of order. A
+    /// server push carries [`PUSH_REQ_ID`].
     Tagged {
         /// Correlation id; a reply carries the id of its request.
         req_id: u32,
         /// Optional trace context of the caller, propagated so the
-        /// server's serve span joins the caller's trace.
+        /// server's serve (or apply) span joins the caller's trace.
         ctx: Option<TraceContext>,
         /// The enveloped frame. Envelopes never nest.
         inner: Box<Frame>,
@@ -1418,7 +1442,33 @@ pub enum Frame {
 /// `Hello.shard` value identifying the front-end rather than a shard.
 pub const FRONT_ROLE: u16 = u16::MAX;
 
+/// The `req_id` of every server push ([`Frame::IncidentPush`],
+/// [`Frame::WindowPush`]). [`MuxConn`](crate::mux::MuxConn) never
+/// allocates it to a request, so its reader routes these frames to the
+/// push queue instead of a waiter.
+pub const PUSH_REQ_ID: u32 = u32::MAX;
+
 impl Frame {
+    /// Whether a server answers this request in-band: on the
+    /// connection's reader, in arrival order, because it is sequenced
+    /// (the replication log) or stateful (a subscription). Everything
+    /// else is read-only and goes to the serve pool.
+    pub(crate) fn is_in_band(&self) -> bool {
+        matches!(
+            self,
+            Frame::DeltaAppend { .. }
+                | Frame::SnapshotInstall { .. }
+                | Frame::ReplicaStatusReq
+                | Frame::SubscribeReq { .. }
+        )
+    }
+
+    /// Whether this is an observability scrape: answered side-effect-free
+    /// and never recorded in the wire metrics it pulls.
+    pub(crate) fn is_scrape(&self) -> bool {
+        matches!(self, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
+    }
+
     /// The frame's tag byte.
     pub fn tag(&self) -> u8 {
         match self {
@@ -1512,76 +1562,85 @@ impl Frame {
         }
     }
 
+    /// The frame's payload bytes (everything after the tag byte).
     fn payload(&self) -> Vec<u8> {
         let mut e = Enc::new();
+        self.enc_payload(&mut e);
+        e.into_bytes()
+    }
+
+    fn enc_payload(&self, e: &mut Enc) {
         match self {
             Frame::Hello { shard, n_shards } => {
                 e.put_u16(*shard);
                 e.put_u16(*n_shards);
             }
             Frame::UnionSliceReq { switch, range } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
+                switch.enc(e);
+                range.enc(e);
             }
-            Frame::UnionSliceRep(v) => v.enc(&mut e),
+            Frame::UnionSliceRep(v) => match v {
+                None => e.put_u8(0),
+                Some(b) => {
+                    e.put_u8(1);
+                    enc_bitset_runs(b, e);
+                }
+            },
             Frame::ProbeExactReq {
                 switch,
                 addr,
                 epoch,
             } => {
-                switch.enc(&mut e);
+                switch.enc(e);
                 e.put_u64(*addr);
                 e.put_u64(*epoch);
             }
-            Frame::ProbeExactRep(v) => v.enc(&mut e),
-            Frame::StoreLenReq { host } => host.enc(&mut e),
-            Frame::StoreLenRep(v) => v.enc(&mut e),
-            Frame::RecordReq { host, flow } => {
-                host.enc(&mut e);
-                flow.enc(&mut e);
+            Frame::ProbeExactRep(v) => v.enc(e),
+            Frame::StoreLenReq { host } => host.enc(e),
+            Frame::StoreLenRep(v) => v.enc(e),
+            Frame::RecordReq { host, flow } | Frame::TriggerReq { host, flow } => {
+                host.enc(e);
+                flow.enc(e);
             }
-            Frame::RecordRep(v) => v.enc(&mut e),
-            Frame::TriggerReq { host, flow } => {
-                host.enc(&mut e);
-                flow.enc(&mut e);
-            }
-            Frame::TriggerRep(v) => v.enc(&mut e),
-            Frame::StoreLenWaveReq { hosts } => hosts.enc(&mut e),
-            Frame::StoreLenWaveRep(v) => v.enc(&mut e),
+            Frame::RecordRep(v) => v.enc(e),
+            Frame::TriggerRep(v) => v.enc(e),
+            Frame::StoreLenWaveReq { hosts } => enc_ids_delta(hosts, e),
+            Frame::StoreLenWaveRep(v) => enc_opt_u64s(v, e),
             Frame::FilterWaveReq {
                 switch,
                 range,
                 hosts,
             } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-                hosts.enc(&mut e);
+                switch.enc(e);
+                range.enc(e);
+                enc_ids_delta(hosts, e);
             }
-            Frame::FilterWaveRep(v) => v.enc(&mut e),
+            Frame::FilterWaveRep(v) => v.enc(e),
             Frame::TopKWaveReq { switch, k, hosts } => {
-                switch.enc(&mut e);
-                e.put_u64(*k);
-                hosts.enc(&mut e);
+                switch.enc(e);
+                e.put_varint(*k);
+                enc_ids_delta(hosts, e);
             }
-            Frame::TopKWaveRep(v) => v.enc(&mut e),
+            Frame::TopKWaveRep(v) => v.enc(e),
             Frame::SizesWaveReq { switch, hosts } => {
-                switch.enc(&mut e);
-                hosts.enc(&mut e);
+                switch.enc(e);
+                enc_ids_delta(hosts, e);
             }
-            Frame::SizesWaveRep(v) => v.enc(&mut e),
-            Frame::HorizonReq => {}
+            Frame::SizesWaveRep(v) => v.enc(e),
+            Frame::HorizonReq
+            | Frame::StatsScrapeReq
+            | Frame::TraceScrapeReq
+            | Frame::ReplicaStatusReq => {}
             Frame::HorizonRep(v) => e.put_u64(*v),
-            Frame::StatsScrapeReq => {}
-            Frame::StatsScrapeRep(v) => v.enc(&mut e),
-            Frame::TraceScrapeReq => {}
-            Frame::TraceScrapeRep(v) => v.enc(&mut e),
-            Frame::QueryReq(v) => v.enc(&mut e),
-            Frame::QueryRep(v) => v.enc(&mut e),
+            Frame::StatsScrapeRep(v) => v.enc(e),
+            Frame::TraceScrapeRep(v) => v.enc(e),
+            Frame::QueryReq(v) => v.enc(e),
+            Frame::QueryRep(v) => v.enc(e),
             Frame::SubscribeReq {
                 query,
                 resume_after,
             } => {
-                query.enc(&mut e);
+                query.enc(e);
                 e.put_u64(*resume_after);
             }
             Frame::SubscribeRep { sub, available } => {
@@ -1590,149 +1649,46 @@ impl Frame {
             }
             Frame::IncidentPush { seq, incident } => {
                 e.put_u64(*seq);
-                incident.enc(&mut e);
+                incident.enc(e);
             }
-            Frame::WindowPush(v) => v.enc(&mut e),
-            Frame::DeltaAppend {
-                shard,
-                seq,
-                record,
-                ctx,
-            } => {
+            Frame::WindowPush(v) => v.enc(e),
+            Frame::DeltaAppend { shard, seq, record } => {
                 e.put_u16(*shard);
                 e.put_u64(*seq);
-                record.enc(&mut e);
-                // Optional trailer: `DeltaRecord` is self-delimiting, so
-                // old decoders see a context-free frame unchanged and new
-                // decoders recognize the marker after the record.
-                enc_ctx(ctx, &mut e);
+                record.enc(e);
             }
             Frame::SnapshotInstall { shard, seq, view } => {
                 e.put_u16(*shard);
                 e.put_u64(*seq);
                 e.put_bytes(view);
             }
-            Frame::DeltaAck { shard, applied } => {
-                e.put_u16(*shard);
-                e.put_u64(*applied);
-            }
-            Frame::ReplicaStatusReq => {}
-            Frame::ReplicaStatusRep { shard, applied } => {
+            Frame::DeltaAck { shard, applied } | Frame::ReplicaStatusRep { shard, applied } => {
                 e.put_u16(*shard);
                 e.put_u64(*applied);
             }
             Frame::Tagged { req_id, ctx, inner } => {
                 e.put_u32(*req_id);
-                enc_ctx(ctx, &mut e);
+                enc_ctx(ctx, e);
                 e.put_u8(inner.tag());
-                e.put_raw(&inner.compact_payload());
+                inner.enc_payload(e);
             }
             Frame::Batch(entries) => {
                 e.put_varint(entries.len() as u64);
                 for (id, ctx, f) in entries {
                     e.put_u32(*id);
-                    enc_ctx(ctx, &mut e);
-                    e.put_u8(f.tag());
-                    let p = f.compact_payload();
-                    e.put_varint(p.len() as u64);
-                    e.put_raw(&p);
+                    enc_ctx(ctx, e);
+                    enc_entry(f, e);
                 }
             }
             Frame::BatchRep(entries) => {
                 e.put_varint(entries.len() as u64);
                 for (id, f) in entries {
                     e.put_u32(*id);
-                    e.put_u8(f.tag());
-                    let p = f.compact_payload();
-                    e.put_varint(p.len() as u64);
-                    e.put_raw(&p);
+                    enc_entry(f, e);
                 }
             }
-            Frame::Error(err) => err.enc(&mut e),
+            Frame::Error(err) => err.enc(e),
         }
-        e.into_bytes()
-    }
-
-    /// The frame's payload in compact form: wave requests and their
-    /// replies swap fixed-width id lists and bitsets for the delta /
-    /// run-length codec. Only envelope interiors use this encoding — a
-    /// bare frame on the wire always carries its legacy [`payload`]
-    /// (`Frame::payload`), so old and new endpoints interoperate frame
-    /// by frame.
-    fn compact_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            Frame::StoreLenWaveReq { hosts } => enc_ids_delta(hosts, &mut e),
-            Frame::FilterWaveReq {
-                switch,
-                range,
-                hosts,
-            } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::TopKWaveReq { switch, k, hosts } => {
-                switch.enc(&mut e);
-                e.put_varint(*k);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::SizesWaveReq { switch, hosts } => {
-                switch.enc(&mut e);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::UnionSliceRep(v) => match v {
-                None => e.put_u8(0),
-                Some(b) => {
-                    e.put_u8(1);
-                    enc_bitset_runs(b, &mut e);
-                }
-            },
-            Frame::StoreLenWaveRep(v) => enc_opt_u64s(v, &mut e),
-            _ => return self.payload(),
-        }
-        e.into_bytes()
-    }
-
-    /// Decodes a payload produced by [`Frame::compact_payload`]. Rejects
-    /// the envelope tags themselves (`0x50..=0x52`): envelopes never
-    /// nest, which also bounds decode recursion at one level. `budget`
-    /// is the enclosing frame's shared [`COMPACT_BITSET_BUDGET`]
-    /// remainder — every bitset decoded anywhere in the frame draws it
-    /// down.
-    fn decode_compact(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
-        if (0x50..=0x52).contains(&tag) {
-            return Err(WireError::BadTag(tag));
-        }
-        let mut d = Dec::new(payload);
-        let frame = match tag {
-            0x15 => Frame::StoreLenWaveReq {
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x16 => Frame::FilterWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                range: EpochRange::dec(&mut d)?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x17 => Frame::TopKWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                k: d.get_varint()?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x18 => Frame::SizesWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x20 => Frame::UnionSliceRep(match d.get_u8()? {
-                0 => None,
-                1 => Some(dec_bitset_runs(&mut d, budget)?),
-                t => return Err(WireError::BadTag(t)),
-            }),
-            0x25 => Frame::StoreLenWaveRep(dec_opt_u64s(&mut d)?),
-            _ => return Frame::decode(tag, payload),
-        };
-        d.finish()?;
-        Ok(frame)
     }
 
     /// Serializes the whole frame (length prefix + tag + payload) into a
@@ -1765,6 +1721,23 @@ impl Frame {
     /// Decodes a frame from its tag and payload. Any trailing bytes in
     /// the payload are a protocol error.
     pub fn decode(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
+        let mut budget = COMPACT_BITSET_BUDGET;
+        Self::decode_in(tag, payload, &mut budget)
+    }
+
+    /// Decodes one envelope entry. Envelope tags (`0x50..=0x52`) are
+    /// refused: envelopes never nest, which also bounds decode recursion
+    /// at one level.
+    fn decode_entry(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
+        if (0x50..=0x52).contains(&tag) {
+            return Err(WireError::BadTag(tag));
+        }
+        Self::decode_in(tag, payload, budget)
+    }
+
+    /// [`Frame::decode`] drawing bitsets from `budget`, the enclosing
+    /// frame's shared [`COMPACT_BITSET_BUDGET`] remainder.
+    fn decode_in(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
         let mut d = Dec::new(payload);
         let frame = match tag {
             0x01 => Frame::Hello {
@@ -1792,31 +1765,35 @@ impl Frame {
                 flow: FlowId::dec(&mut d)?,
             },
             0x15 => Frame::StoreLenWaveReq {
-                hosts: Vec::dec(&mut d)?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x16 => Frame::FilterWaveReq {
                 switch: NodeId::dec(&mut d)?,
                 range: EpochRange::dec(&mut d)?,
-                hosts: Vec::dec(&mut d)?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x17 => Frame::TopKWaveReq {
                 switch: NodeId::dec(&mut d)?,
-                k: d.get_u64()?,
-                hosts: Vec::dec(&mut d)?,
+                k: d.get_varint()?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x18 => Frame::SizesWaveReq {
                 switch: NodeId::dec(&mut d)?,
-                hosts: Vec::dec(&mut d)?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x19 => Frame::HorizonReq,
             0x1A => Frame::StatsScrapeReq,
             0x1B => Frame::TraceScrapeReq,
-            0x20 => Frame::UnionSliceRep(Option::dec(&mut d)?),
+            0x20 => Frame::UnionSliceRep(match d.get_u8()? {
+                0 => None,
+                1 => Some(dec_bitset_runs(&mut d, budget)?),
+                t => return Err(WireError::BadTag(t)),
+            }),
             0x21 => Frame::ProbeExactRep(Option::dec(&mut d)?),
             0x22 => Frame::StoreLenRep(Option::dec(&mut d)?),
             0x23 => Frame::RecordRep(Option::dec(&mut d)?),
             0x24 => Frame::TriggerRep(Option::dec(&mut d)?),
-            0x25 => Frame::StoreLenWaveRep(Vec::dec(&mut d)?),
+            0x25 => Frame::StoreLenWaveRep(dec_opt_u64s(&mut d)?),
             0x26 => Frame::FilterWaveRep(Vec::dec(&mut d)?),
             0x27 => Frame::TopKWaveRep(Vec::dec(&mut d)?),
             0x28 => Frame::SizesWaveRep(Vec::dec(&mut d)?),
@@ -1838,29 +1815,11 @@ impl Frame {
                 incident: Incident::dec(&mut d)?,
             },
             0x35 => Frame::WindowPush(WindowSummary::dec(&mut d)?),
-            0x40 => {
-                let shard = d.get_u16()?;
-                let seq = d.get_u64()?;
-                let record = DeltaRecord::dec(&mut d)?;
-                // The record is self-delimiting: any trailer must be a
-                // marked trace context, otherwise it is a protocol error
-                // (the old decoder's trailing-bytes rejection, kept).
-                let ctx = if d.remaining() > 0 {
-                    let marker = d.get_u8()?;
-                    if marker != TRACE_CTX_MARKER {
-                        return Err(WireError::TrailingBytes(d.remaining() + 1));
-                    }
-                    Some(dec_ctx_body(&mut d)?)
-                } else {
-                    None
-                };
-                Frame::DeltaAppend {
-                    shard,
-                    seq,
-                    record,
-                    ctx,
-                }
-            }
+            0x40 => Frame::DeltaAppend {
+                shard: d.get_u16()?,
+                seq: d.get_u64()?,
+                record: DeltaRecord::dec(&mut d)?,
+            },
             0x41 => Frame::SnapshotInstall {
                 shard: d.get_u16()?,
                 seq: d.get_u64()?,
@@ -1878,8 +1837,7 @@ impl Frame {
             0x50 => {
                 let req_id = d.get_u32()?;
                 let (ctx, tag) = dec_ctx_then_tag(&mut d)?;
-                let mut budget = COMPACT_BITSET_BUDGET;
-                let inner = Frame::decode_compact(tag, d.take_rest(), &mut budget)?;
+                let inner = Frame::decode_entry(tag, d.take_rest(), budget)?;
                 Frame::Tagged {
                     req_id,
                     ctx,
@@ -1887,45 +1845,28 @@ impl Frame {
                 }
             }
             0x51 => {
-                let count = d.get_varint()? as usize;
-                // Every entry costs at least 6 bytes of header, so a
-                // corrupt count cannot force a big reserve.
-                if count > d.remaining() / 6 + 1 {
-                    return Err(WireError::Truncated {
-                        needed: count.saturating_mul(6),
-                        have: d.remaining(),
-                    });
-                }
-                // One bitset-allocation budget for the whole batch: the
-                // entries share it, so N compact entries cannot decode
+                let count = dec_entry_count(&mut d)?;
+                // The entries share `budget`, so N entries cannot decode
                 // into N maximal bitsets.
-                let mut budget = COMPACT_BITSET_BUDGET;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let id = d.get_u32()?;
                     let (ctx, etag) = dec_ctx_then_tag(&mut d)?;
                     let len = d.get_varint()? as usize;
                     let payload = d.get_raw(len)?;
-                    entries.push((id, ctx, Frame::decode_compact(etag, payload, &mut budget)?));
+                    entries.push((id, ctx, Frame::decode_entry(etag, payload, budget)?));
                 }
                 Frame::Batch(entries)
             }
             0x52 => {
-                let count = d.get_varint()? as usize;
-                if count > d.remaining() / 6 + 1 {
-                    return Err(WireError::Truncated {
-                        needed: count.saturating_mul(6),
-                        have: d.remaining(),
-                    });
-                }
-                let mut budget = COMPACT_BITSET_BUDGET;
+                let count = dec_entry_count(&mut d)?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let id = d.get_u32()?;
                     let etag = d.get_u8()?;
                     let len = d.get_varint()? as usize;
                     let payload = d.get_raw(len)?;
-                    entries.push((id, Frame::decode_compact(etag, payload, &mut budget)?));
+                    entries.push((id, Frame::decode_entry(etag, payload, budget)?));
                 }
                 Frame::BatchRep(entries)
             }

@@ -2,32 +2,31 @@
 //! replica connection.
 //!
 //! The writer is deliberately thin — it moves [`Frame::DeltaAppend`] /
-//! [`Frame::SnapshotInstall`] frames and surfaces the replica's typed
-//! answers ([`WireError::SeqGap`] when the replica's log position does
-//! not match, transport errors with peer context attached). Deciding
-//! *what* to do about a gap — replay the missing suffix from the log, or
-//! re-bootstrap — is policy, and lives in `replicaplane`'s publisher.
+//! [`Frame::SnapshotInstall`] frames over the same retrying multiplexed
+//! link the front-end uses towards its shards, and surfaces the
+//! replica's typed answers ([`WireError::SeqGap`] when the replica's log
+//! position does not match, transport errors with peer context
+//! attached). Deciding *what* to do about a gap — replay the missing
+//! suffix from the log, or re-bootstrap — is policy, and lives in
+//! `replicaplane`'s publisher.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::net::SocketAddr;
 use std::time::Instant;
 
+use obsplane::TraceContext;
 use queryplane::DeltaRecord;
 use telemetry::frame::WireError;
 
+use crate::mux::Link;
 use crate::proto::Frame;
 use crate::retry::RetryPolicy;
 
-/// One replica's replication connection: dial + greeting verification,
+/// One replica's replication connection: greeting verification,
 /// sequenced appends, snapshot bootstrap, and a status probe. Reconnects
 /// under the given [`RetryPolicy`] on transport failure.
 pub struct ReplicaWriter {
     shard: usize,
-    addr: SocketAddr,
-    conn: Mutex<Option<TcpStream>>,
-    max_frame: u32,
-    retry: RetryPolicy,
+    link: Link,
 }
 
 impl ReplicaWriter {
@@ -38,82 +37,15 @@ impl ReplicaWriter {
         max_frame: u32,
         retry: RetryPolicy,
     ) -> Result<Self, WireError> {
-        let w = ReplicaWriter {
+        Ok(ReplicaWriter {
             shard,
-            addr,
-            conn: Mutex::new(None),
-            max_frame,
-            retry,
-        };
-        let stream = w.dial()?;
-        *w.conn.lock().unwrap() = Some(stream);
-        Ok(w)
+            link: Link::connect(shard, vec![addr], max_frame, retry, None)?,
+        })
     }
 
     /// The replica this writer feeds.
     pub fn peer(&self) -> SocketAddr {
-        self.addr
-    }
-
-    fn dial(&self) -> Result<TcpStream, WireError> {
-        let mut stream =
-            TcpStream::connect(self.addr).map_err(|e| WireError::from(e).with_peer(self.addr))?;
-        stream.set_nodelay(true).ok();
-        match Frame::read(&mut stream, self.max_frame).map_err(|e| e.with_peer(self.addr))? {
-            Frame::Hello { shard, .. } if shard as usize == self.shard => Ok(stream),
-            Frame::Hello { shard, .. } => Err(WireError::Remote(format!(
-                "dialed replica of shard {} but shard {} answered at {}",
-                self.shard, shard, self.addr
-            ))),
-            Frame::Error(e) => Err(e),
-            other => Err(WireError::Remote(format!(
-                "expected greeting from {}, got frame {:#04x}",
-                self.addr,
-                other.tag()
-            ))),
-        }
-    }
-
-    /// One request/reply exchange with bounded reconnect-and-retry on
-    /// transport failure. Typed remote errors (a [`WireError::SeqGap`]
-    /// refusal in particular) return immediately — they are protocol
-    /// answers, not transport faults.
-    fn exchange(&self, req: &Frame) -> Result<Frame, WireError> {
-        let mut guard = self.conn.lock().unwrap();
-        let mut last_err = WireError::Remote("no attempt made".to_string());
-        for attempt in 0..self.retry.attempts() as u32 {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt - 1));
-            }
-            if guard.is_none() {
-                match self.dial() {
-                    Ok(s) => *guard = Some(s),
-                    Err(e) => {
-                        last_err = e;
-                        continue;
-                    }
-                }
-            }
-            let stream = guard.as_mut().expect("connection just ensured");
-            let res = (|| -> Result<Frame, WireError> {
-                req.write(stream)?;
-                stream.flush()?;
-                Frame::read(stream, self.max_frame)
-            })();
-            match res {
-                Ok(Frame::Error(e)) => return Err(e),
-                Ok(reply) => return Ok(reply),
-                Err(e @ WireError::Io { .. }) => {
-                    *guard = None;
-                    last_err = e.with_peer(self.addr);
-                }
-                Err(e) => {
-                    *guard = None;
-                    return Err(e.with_peer(self.addr));
-                }
-            }
-        }
-        Err(last_err)
+        self.link.active_addr()
     }
 
     fn expect_ack(&self, reply: Frame) -> Result<u64, WireError> {
@@ -121,7 +53,7 @@ impl ReplicaWriter {
             Frame::DeltaAck { shard, applied } if shard as usize == self.shard => Ok(applied),
             other => Err(WireError::Remote(format!(
                 "expected DeltaAck from {}, got frame {:#04x}",
-                self.addr,
+                self.peer(),
                 other.tag()
             ))),
         }
@@ -134,20 +66,21 @@ impl ReplicaWriter {
         self.append_traced(seq, record, None)
     }
 
-    /// [`ReplicaWriter::append`] carrying a trace context, so the
-    /// replica's apply-stage span joins the owner's replication trace.
+    /// [`ReplicaWriter::append`] carrying a trace context in the
+    /// envelope, so the replica's apply-stage span joins the owner's
+    /// replication trace.
     pub fn append_traced(
         &self,
         seq: u64,
         record: &DeltaRecord,
-        ctx: Option<obsplane::TraceContext>,
+        ctx: Option<TraceContext>,
     ) -> Result<u64, WireError> {
-        let reply = self.exchange(&Frame::DeltaAppend {
+        let req = Frame::DeltaAppend {
             shard: self.shard as u16,
             seq,
             record: record.clone(),
-            ctx,
-        })?;
+        };
+        let (reply, _) = self.link.call(&req, ctx)?;
         self.expect_ack(reply)
     }
 
@@ -161,23 +94,24 @@ impl ReplicaWriter {
         view: Vec<u8>,
     ) -> Result<(u64, std::time::Duration), WireError> {
         let started = Instant::now();
-        let reply = self.exchange(&Frame::SnapshotInstall {
+        let req = Frame::SnapshotInstall {
             shard: self.shard as u16,
             seq,
             view,
-        })?;
+        };
+        let (reply, _) = self.link.call(&req, None)?;
         Ok((self.expect_ack(reply)?, started.elapsed()))
     }
 
     /// The replica's applied seq.
     pub fn status(&self) -> Result<u64, WireError> {
-        match self.exchange(&Frame::ReplicaStatusReq)? {
+        match self.link.call(&Frame::ReplicaStatusReq, None)?.0 {
             Frame::ReplicaStatusRep { shard, applied } if shard as usize == self.shard => {
                 Ok(applied)
             }
             other => Err(WireError::Remote(format!(
                 "expected ReplicaStatusRep from {}, got frame {:#04x}",
-                self.addr,
+                self.peer(),
                 other.tag()
             ))),
         }

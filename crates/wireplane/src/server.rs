@@ -1,43 +1,62 @@
-//! The shard server: one directory shard's state behind a loopback TCP
-//! listener.
+//! The shard server, and the one serve path every wireplane server
+//! shares.
 //!
-//! Each server owns one [`DirectoryShard`] (its slice of the bit → host
-//! partition) plus a per-shard [`Snapshot`] slice: the flow-record stores
-//! of exactly the hosts it owns, with the small switch pointer metadata
-//! carried whole (the paper's footprint argument — MPHF + pointer bits
-//! are the cheap replicated layer, host stores the heavy partitioned
-//! one). It answers the decode / host-read / fan-out RPCs of
-//! [`Frame`](crate::proto::Frame): a whole per-shard query wave arrives
+//! Each shard server owns one [`DirectoryShard`] (its slice of the bit →
+//! host partition) plus a per-shard [`Snapshot`] slice: the flow-record
+//! stores of exactly the hosts it owns, with the small switch pointer
+//! metadata carried whole (the paper's footprint argument — MPHF +
+//! pointer bits are the cheap replicated layer, host stores the heavy
+//! partitioned one). It answers the decode / host-read / fan-out RPCs of
+//! [`Frame`]: a whole per-shard query wave arrives
 //! as *one* request frame and leaves as one reply frame, which is what
 //! makes the front-end's batched fan-out a single wire round trip per
 //! shard.
 //!
-//! Serving model: thread-per-connection with a **bounded accept pool** —
-//! beyond `WireConfig::max_conns` concurrent connections the server
-//! greets with a typed [`WireError::Remote`] error frame and closes
-//! instead of queueing unboundedly. Listeners always bind
-//! `127.0.0.1:0`; the kernel-chosen port travels back through
-//! [`ShardServer::local_addr`], so nothing in tests or CI ever races for
-//! a fixed port. Shutdown is graceful: the accept loop is woken by a
-//! sentinel connection and every connection thread is joined.
+//! Serving model, shared with the [`FrontEnd`](crate::frontend::FrontEnd)
+//! through `Endpoint`:
+//!
+//! * **Bounded accept pool.** Beyond `WireConfig::max_conns` concurrent
+//!   connections a listener refuses with a bare typed [`Frame::Error`]
+//!   and closes instead of queueing unboundedly.
+//! * **One reader per connection.** It greets with a bare
+//!   [`Frame::Hello`], then reads envelopes only ([`Frame::Tagged`] /
+//!   [`Frame::Batch`]); a bare frame after the greeting is answered with
+//!   a typed [`Frame::Error`] and the connection is closed.
+//! * **In-band or pooled.** Sequenced and stateful requests
+//!   (`Frame::is_in_band`: replication appends, installs, status
+//!   probes, subscriptions) are served on the reader, in arrival order.
+//!   Every other request is read-only and is queued to the server's
+//!   fixed serve pool of [`SERVE_WORKERS`] threads; the queue is bounded,
+//!   so a full queue blocks the reader — that is the backpressure, and
+//!   the server's thread count does not grow with the request rate.
+//!   Replies leave through the connection's one shared writer, whole
+//!   frame per `write`.
+//!
+//! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
+//! back through [`ShardServer::local_addr`], so nothing in tests or CI
+//! ever races for a fixed port. Shutdown is graceful: the accept loop is
+//! woken by a sentinel connection, every connection thread is joined,
+//! then the serve pool drains and joins.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use netsim::packet::NodeId;
-use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext, Tracer};
+use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext};
 use queryplane::Snapshot;
 use switchpointer::bitset::BitSet;
 use switchpointer::query::StateView;
 use switchpointer::shard::DirectoryShard;
-use telemetry::frame::{read_frame, Dec, Enc, WireError, MAX_FRAME};
+use telemetry::frame::{read_frame, Dec, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 
-use crate::proto::Frame;
+use crate::proto::{Frame, PUSH_REQ_ID};
 
 /// Per-frame wire metrics one serving loop records, resolved once at
 /// spawn so the hot path never touches the registry's lock.
@@ -72,10 +91,11 @@ pub struct WireConfig {
     /// query waves and window evaluations run there (work-stealing,
     /// chunked) instead of inline on connection threads.
     pub front_workers: usize,
-    /// Head-sampling rate for causal traces minted at the front-end:
-    /// keep 1-in-N traces in the span rings (`0` disables tracing,
-    /// `1` — the default — samples everything). Unsampled traces still
-    /// propagate context so slow-query exemplars pin everywhere.
+    /// Head-sampling rate for causal traces minted at the front-end and
+    /// by a replicated deployment's publisher: keep 1-in-N traces in the
+    /// span rings (`0` disables tracing, `1` — the default — samples
+    /// everything). Unsampled traces still propagate context so
+    /// slow-query exemplars pin everywhere.
     pub trace_sample_rate: u32,
 }
 
@@ -89,6 +109,14 @@ impl Default for WireConfig {
         }
     }
 }
+
+/// Worker threads in every server's serve pool. At least 2, so one slow
+/// request (a rigged [`ServeDelay`]) never holds up the rest.
+pub const SERVE_WORKERS: usize = 4;
+
+/// Read-only requests (or batches) queued per server before connection
+/// readers block — the serve pool's bound.
+const SERVE_QUEUE: usize = 64;
 
 /// Replication metrics one serving loop records, resolved once at spawn.
 #[derive(Clone)]
@@ -111,131 +139,6 @@ impl ReplMetrics {
             applied_seq: reg.gauge("repl.applied_seq"),
             apply_ns: reg.histogram("repl.apply_ns"),
         }
-    }
-}
-
-/// Serves one replication frame against the shared state. Returns `None`
-/// for non-replication frames (the read-only `serve` path handles those).
-fn serve_replication(
-    req: &Frame,
-    my_shard: usize,
-    state: &RwLock<Arc<ShardState>>,
-    applied: &AtomicU64,
-    m: &ReplMetrics,
-    tracer: &Tracer,
-) -> Option<Frame> {
-    match req {
-        Frame::DeltaAppend {
-            shard,
-            seq,
-            record,
-            ctx,
-        } => {
-            Some(if *shard as usize != my_shard {
-                Frame::Error(WireError::Remote(format!(
-                    "delta for shard {shard} sent to shard {my_shard}"
-                )))
-            } else {
-                // The log contract: records apply exactly in sequence.
-                // Anything else is a typed gap the owner resolves by
-                // replaying the missing suffix or re-bootstrapping.
-                let expected = applied.load(Ordering::SeqCst) + 1;
-                if *seq != expected {
-                    Frame::Error(WireError::SeqGap {
-                        expected,
-                        got: *seq,
-                    })
-                } else {
-                    let started = Instant::now();
-                    let mut guard = state.write().unwrap();
-                    let cur = Arc::clone(&guard);
-                    let mut view = cur.view.clone();
-                    match view.apply_record(record) {
-                        Ok(()) => {
-                            *guard = Arc::new(ShardState {
-                                shard: cur.shard.clone(),
-                                view,
-                            });
-                            applied.store(*seq, Ordering::SeqCst);
-                            m.applied_total.inc();
-                            m.applied_seq.set(*seq as i64);
-                            m.apply_ns.record_duration(started.elapsed());
-                            // The apply joins the publisher's trace: the
-                            // replica-side evidence when a slow query
-                            // overlapped a replication burst.
-                            if let Some(c) = ctx {
-                                tracer.submit(
-                                    SpanEvent {
-                                        class: "DeltaAppend",
-                                        stage: "apply",
-                                        epoch: *seq,
-                                        shard: my_shard as u32,
-                                        start_ns: tracer.offset_ns(started),
-                                        dur_ns: started.elapsed().as_nanos() as u64,
-                                        trace_id: c.trace_id,
-                                        span_id: tracer.next_span_id(),
-                                        parent_id: c.span_id,
-                                        steals: 0,
-                                    },
-                                    c.sampled,
-                                );
-                            }
-                            Frame::DeltaAck {
-                                shard: *shard,
-                                applied: *seq,
-                            }
-                        }
-                        Err(e) => Frame::Error(e),
-                    }
-                }
-            })
-        }
-        Frame::SnapshotInstall { shard, seq, view } => {
-            Some(if *shard as usize != my_shard {
-                Frame::Error(WireError::Remote(format!(
-                    "snapshot for shard {shard} sent to shard {my_shard}"
-                )))
-            } else {
-                let mut guard = state.write().unwrap();
-                let cur = Arc::clone(&guard);
-                // The snapshot bytes need the deployment's shared MPHF
-                // to decode; the replica re-attaches its own copy, so
-                // the installed hierarchies compare `Arc::ptr_eq`-equal
-                // to locally captured ones.
-                let decoded = match cur.view.mphf() {
-                    Some(mphf) => {
-                        let mut d = Dec::new(view);
-                        Snapshot::wire_dec(&mut d, mphf).and_then(|s| d.finish().map(|_| s))
-                    }
-                    None => Err(WireError::Remote(
-                        "replica holds no MPHF to decode a snapshot".to_string(),
-                    )),
-                };
-                match decoded {
-                    Ok(new_view) => {
-                        *guard = Arc::new(ShardState {
-                            shard: cur.shard.clone(),
-                            view: new_view,
-                        });
-                        // Bootstrap resets the log position unconditionally:
-                        // a fresh or fallen-behind replica rejoins here.
-                        applied.store(*seq, Ordering::SeqCst);
-                        m.installs.inc();
-                        m.applied_seq.set(*seq as i64);
-                        Frame::DeltaAck {
-                            shard: *shard,
-                            applied: *seq,
-                        }
-                    }
-                    Err(e) => Frame::Error(e),
-                }
-            })
-        }
-        Frame::ReplicaStatusReq => Some(Frame::ReplicaStatusRep {
-            shard: my_shard as u16,
-            applied: applied.load(Ordering::SeqCst),
-        }),
-        _ => None,
     }
 }
 
@@ -319,9 +222,9 @@ impl ShardState {
     }
 }
 
-/// Shared listener mechanics (accept loop, bounded pool, graceful
-/// shutdown) used by both the shard servers and the front-end.
-pub(crate) struct Listener {
+/// Listener mechanics (accept loop, bounded accept pool, graceful
+/// shutdown) under every [`Endpoint`].
+struct Listener {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -335,11 +238,11 @@ pub(crate) struct Listener {
 impl Listener {
     /// Binds `127.0.0.1:0` (always an ephemeral port — the bound address
     /// is plumbed back through [`Listener::addr`]) and serves each
-    /// accepted connection on its own thread via `handle`, up to
-    /// `max_conns` at once.
-    pub(crate) fn spawn<F>(name: &str, max_conns: usize, handle: F) -> Result<Listener, WireError>
+    /// accepted connection on its own thread via `handle(stream,
+    /// conn_id)`, up to `max_conns` at once.
+    fn spawn<F>(name: &str, max_conns: usize, handle: F) -> Result<Listener, WireError>
     where
-        F: Fn(TcpStream) + Send + Sync + 'static,
+        F: Fn(TcpStream, u64) + Send + Sync + 'static,
     {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -392,7 +295,7 @@ impl Listener {
                         let jh = std::thread::Builder::new()
                             .name(format!("{name}-conn"))
                             .spawn(move || {
-                                handle(stream);
+                                handle(stream, conn_id);
                                 streams.lock().unwrap().remove(&conn_id);
                                 active.fetch_sub(1, Ordering::SeqCst);
                             })
@@ -422,14 +325,14 @@ impl Listener {
         })
     }
 
-    pub(crate) fn addr(&self) -> SocketAddr {
+    fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Stops accepting, wakes the accept loop with a sentinel
     /// connection, closes every live peer stream (so connection threads
     /// blocked in `read` wake up) and joins every connection thread.
-    pub(crate) fn shutdown(&mut self) {
+    fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
@@ -455,102 +358,24 @@ impl Drop for Listener {
 /// requests to complete out of order.
 pub type ServeDelay = Arc<dyn Fn(&Frame) -> std::time::Duration + Send + Sync>;
 
-/// In-flight spawned serves per connection before the loop falls back to
-/// serving in-band (backpressure, and a bound on thread count).
-const MAX_INFLIGHT_SERVES: usize = 32;
-
-/// Everything one connection loop needs to answer a single read-only
-/// request, shared with the per-request serve threads the multiplexed
-/// path spawns.
-struct ServeCtx {
-    state: Arc<RwLock<Arc<ShardState>>>,
-    metrics: WireLoopMetrics,
-    scrape_label: String,
-    scrape_reg: Arc<MetricsRegistry>,
-    shard: u32,
-    delay: Arc<RwLock<Option<ServeDelay>>>,
-}
-
-impl ServeCtx {
-    /// Serves one read-only request (scrape or shard read) and returns
-    /// the reply frame. Replication is NOT handled here — it must stay
-    /// in-band on the connection loop so the sequenced-log ordering
-    /// survives out-of-order tagged dispatch.
-    ///
-    /// When the request's envelope carried a [`TraceContext`], the whole
-    /// serve — *including* any rigged [`ServeDelay`] — records as a
-    /// serve-stage span in the request's trace; the `wire.serve_ns`
-    /// histogram stays delay-exclusive as before.
-    fn serve_read(&self, req: &Frame, tctx: Option<TraceContext>) -> Frame {
-        let span_started = Instant::now();
-        if let Some(d) = self.delay.read().unwrap().as_ref() {
-            std::thread::sleep(d(req));
-        }
-        // Scrapes are side-effect-free: snapshot-based, excluded from
-        // the wire histograms, and they never record spans of their own,
-        // so repeated scrapes of a quiesced server are identical.
-        if matches!(req, Frame::StatsScrapeReq) {
-            return Frame::StatsScrapeRep(vec![(
-                self.scrape_label.clone(),
-                self.scrape_reg.snapshot(),
-            )]);
-        }
-        if matches!(req, Frame::TraceScrapeReq) {
-            return Frame::TraceScrapeRep(vec![(
-                self.scrape_label.clone(),
-                crate::traces::dump_spans(self.scrape_reg.tracer()),
-            )]);
-        }
-        let serve_started = Instant::now();
-        let reply = {
-            let state = self.state.read().unwrap().clone();
-            state.serve(req)
-        };
-        self.metrics
-            .serve_ns
-            .record_duration(serve_started.elapsed());
-        self.metrics.frames_served.inc();
-        if let Some(c) = tctx {
-            let tracer = self.scrape_reg.tracer();
-            tracer.submit(
-                SpanEvent {
-                    class: req.kind_name(),
-                    stage: "serve",
-                    epoch: 0,
-                    shard: self.shard,
-                    start_ns: tracer.offset_ns(span_started),
-                    dur_ns: span_started.elapsed().as_nanos() as u64,
-                    trace_id: c.trace_id,
-                    span_id: tracer.next_span_id(),
-                    parent_id: c.span_id,
-                    steals: 0,
-                },
-                c.sampled,
-            );
-        }
-        reply
-    }
-}
-
-/// Writes one whole frame through the shared per-connection writer in a
-/// single `write_all`, so spawned serve threads never interleave partial
-/// frames on the socket.
+/// Writes one whole frame through a shared per-connection writer in a
+/// single `write_all`, so pool workers never interleave partial frames
+/// on the socket.
 ///
 /// Any failure — an unencodable reply (e.g. oversize) as much as a
-/// broken pipe — shuts the socket down before reporting `false`. A
-/// spawned serve thread has no connection loop to `break` out of; if
-/// its reply were silently dropped with the socket left healthy, the
-/// client's demux would wait on that `req_id` forever. Killing the
-/// socket makes the connection-loop read fail, the peer's reader
-/// poisons every in-flight waiter, and the client fails over.
+/// broken pipe — shuts the socket down before reporting `false`. A pool
+/// worker has no connection loop to `break` out of; if its reply were
+/// silently dropped with the socket left healthy, the client's demux
+/// would wait on that `req_id` forever. Killing the socket makes the
+/// connection's read fail, the peer's reader poisons every in-flight
+/// waiter, and the client fails over.
 fn write_shared(writer: &Mutex<TcpStream>, frame: &Frame) -> bool {
     write_shared_observed(writer, frame, None)
 }
 
-/// [`write_shared`] with optional encode observation: the envelope
-/// paths pass the loop metrics here so `Tagged`/`Batch` replies land in
-/// `wire.encode_ns` like legacy replies do (scrape replies stay
-/// unobserved to keep scrapes side-effect-free).
+/// [`write_shared`] with optional encode observation into
+/// `wire.encode_ns` (scrape replies stay unobserved to keep scrapes
+/// side-effect-free).
 fn write_shared_observed(
     writer: &Mutex<TcpStream>,
     frame: &Frame,
@@ -573,30 +398,471 @@ fn write_shared_observed(
     ok
 }
 
-/// Reaps finished serve threads; joins everything when `all` is set.
-fn reap(serves: &mut Vec<JoinHandle<()>>, all: bool) {
-    let mut kept = Vec::new();
-    for h in serves.drain(..) {
-        if all || h.is_finished() {
-            let _ = h.join();
-        } else {
-            kept.push(h);
+/// One accepted connection's write side: replies from the reader and
+/// the pool, and pushes from whoever holds it (a subscription watcher).
+pub(crate) struct Conn {
+    /// Per-listener connection id.
+    pub(crate) id: u64,
+    writer: Mutex<TcpStream>,
+}
+
+impl Conn {
+    fn send(&self, frame: &Frame, m: Option<&WireLoopMetrics>) -> bool {
+        write_shared_observed(&self.writer, frame, m)
+    }
+
+    /// Pushes one server-initiated frame under the reserved
+    /// [`PUSH_REQ_ID`]. `false` means the peer is gone.
+    pub(crate) fn push(&self, frame: Frame) -> bool {
+        write_shared(
+            &self.writer,
+            &Frame::Tagged {
+                req_id: PUSH_REQ_ID,
+                ctx: None,
+                inner: Box::new(frame),
+            },
+        )
+    }
+}
+
+/// A server role's request handlers, plugged into the one connection
+/// loop ([`Endpoint`]).
+pub(crate) trait Service: Send + Sync + 'static {
+    /// The bare greeting sent on accept.
+    fn hello(&self) -> Frame;
+    /// Serves one [`Frame::is_in_band`] request on the connection's
+    /// reader, in arrival order. `conn` is the connection's writer, for
+    /// requests that keep it (a subscription's pushes).
+    fn serve_in_band(&self, req: &Frame, ctx: Option<TraceContext>, conn: &Arc<Conn>) -> Frame;
+    /// Serves one read-only request, on a serve-pool worker.
+    fn serve_read(self: &Arc<Self>, req: &Frame, ctx: Option<TraceContext>) -> Frame;
+    /// The per-frame wire metrics this role records, if any.
+    fn loop_metrics(&self) -> Option<&WireLoopMetrics> {
+        None
+    }
+    /// Connection `conn_id` closed.
+    fn closed(&self, _conn_id: u64) {}
+}
+
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A server's fixed pool of [`SERVE_WORKERS`] threads behind a bounded
+/// job queue.
+struct ServePool {
+    jobs: Option<SyncSender<Job>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl ServePool {
+    fn spawn(name: &str) -> Result<ServePool, WireError> {
+        let (tx, rx) = sync_channel::<Job>(SERVE_QUEUE);
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..SERVE_WORKERS)
+            .map(|_| {
+                let rx = Arc::clone(&rx);
+                std::thread::Builder::new()
+                    .name(format!("{name}-serve"))
+                    .spawn(move || loop {
+                        let job = rx.lock().unwrap().recv();
+                        match job {
+                            Ok(job) => job(),
+                            Err(_) => break,
+                        }
+                    })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ServePool {
+            jobs: Some(tx),
+            workers,
+        })
+    }
+
+    /// Closes the queue (once every reader is gone) and joins the
+    /// workers after they drain it.
+    fn shutdown(&mut self) {
+        self.jobs.take();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
-    *serves = kept;
+}
+
+impl Drop for ServePool {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// A running server: a [`Listener`] whose connections all run
+/// [`serve_connection`] for one [`Service`], over one [`ServePool`].
+pub(crate) struct Endpoint {
+    listener: Listener,
+    pool: ServePool,
+}
+
+impl Endpoint {
+    pub(crate) fn spawn<S: Service>(
+        name: &str,
+        cfg: &WireConfig,
+        service: Arc<S>,
+    ) -> Result<Endpoint, WireError> {
+        let pool = ServePool::spawn(name)?;
+        let jobs = pool.jobs.clone().expect("a fresh pool is open");
+        let max_frame = cfg.max_frame;
+        let listener = Listener::spawn(name, cfg.max_conns, move |stream, conn_id| {
+            serve_connection(stream, conn_id, &service, &jobs, max_frame);
+        })?;
+        Ok(Endpoint { listener, pool })
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.listener.addr()
+    }
+
+    /// Stops accepting, joins every connection reader, then drains and
+    /// joins the serve pool.
+    pub(crate) fn shutdown(&mut self) {
+        self.listener.shutdown();
+        self.pool.shutdown();
+    }
+}
+
+/// The reply envelope for `replies`: a `BatchRep` for a batch, the lone
+/// reply re-tagged otherwise.
+fn envelope(mut replies: Vec<(u32, Frame)>, batched: bool) -> Frame {
+    if batched {
+        return Frame::BatchRep(replies);
+    }
+    let (req_id, inner) = replies.pop().expect("a Tagged request has one entry");
+    Frame::Tagged {
+        req_id,
+        ctx: None,
+        inner: Box::new(inner),
+    }
+}
+
+/// Serves one read-only request. A handler that panics (the front-end's
+/// executor does when a shard stays unreachable past its retry budget)
+/// answers with a typed error instead of losing the reply, so the caller
+/// never waits forever.
+fn serve_read_caught<S: Service>(
+    service: &Arc<S>,
+    req: &Frame,
+    ctx: Option<TraceContext>,
+) -> Frame {
+    catch_unwind(AssertUnwindSafe(|| service.serve_read(req, ctx))).unwrap_or_else(|_| {
+        Frame::Error(WireError::Remote(format!(
+            "serving {} failed (a peer unreachable?)",
+            req.kind_name()
+        )))
+    })
+}
+
+/// The one connection loop: greet, then read an envelope, decode it and
+/// dispatch it — in-band on this thread when any entry is sequenced or
+/// stateful, otherwise as one job on the serve pool — until the peer
+/// goes away or breaks the protocol.
+fn serve_connection<S: Service>(
+    mut stream: TcpStream,
+    conn_id: u64,
+    service: &Arc<S>,
+    jobs: &SyncSender<Job>,
+    max_frame: u32,
+) {
+    // Greet with role + shard id so the dialer can verify it reached
+    // the peer it meant to.
+    if service.hello().write(&mut stream).is_err() {
+        return;
+    }
+    let conn = match stream.try_clone() {
+        Ok(s) => Arc::new(Conn {
+            id: conn_id,
+            writer: Mutex::new(s),
+        }),
+        Err(_) => return,
+    };
+    loop {
+        let (tag, payload) = match read_frame(&mut stream, max_frame) {
+            Ok(fr) => fr,
+            Err(WireError::Io { .. }) => break, // peer gone
+            Err(e) => {
+                // Framing is lost: report the typed error and drop the
+                // connection (the client reconnects).
+                conn.send(&Frame::Error(e), None);
+                break;
+            }
+        };
+        let decode_started = Instant::now();
+        let (entries, batched) = match Frame::decode(tag, &payload) {
+            Ok(Frame::Tagged { req_id, ctx, inner }) => (vec![(req_id, ctx, *inner)], false),
+            Ok(Frame::Batch(entries)) => (entries, true),
+            Ok(other) => {
+                conn.send(
+                    &Frame::Error(WireError::Remote(format!(
+                        "expected an envelope after the greeting, got bare frame {:#04x}",
+                        other.tag()
+                    ))),
+                    None,
+                );
+                break;
+            }
+            Err(e) => {
+                conn.send(&Frame::Error(e), None);
+                break;
+            }
+        };
+        // Scrapes stay side-effect-free: not even their decode or encode
+        // is recorded.
+        let observed = entries.iter().any(|(_, _, f)| !f.is_scrape());
+        let m = service.loop_metrics().filter(|_| observed);
+        if let Some(m) = m {
+            m.decode_ns.record_duration(decode_started.elapsed());
+        }
+        if entries.iter().any(|(_, _, f)| f.is_in_band()) {
+            // Sequenced or stateful: served here, in arrival order, or a
+            // reordering would break the replication log (SeqGap) and
+            // subscription cursors. Reads batched alongside ride along.
+            let replies = entries
+                .into_iter()
+                .map(|(id, ctx, f)| {
+                    let reply = if f.is_in_band() {
+                        service.serve_in_band(&f, ctx, &conn)
+                    } else {
+                        serve_read_caught(service, &f, ctx)
+                    };
+                    (id, reply)
+                })
+                .collect();
+            if !conn.send(&envelope(replies, batched), m) {
+                break;
+            }
+            continue;
+        }
+        let (service, conn) = (Arc::clone(service), Arc::clone(&conn));
+        let job: Job = Box::new(move || {
+            let replies = entries
+                .into_iter()
+                .map(|(id, ctx, f)| (id, serve_read_caught(&service, &f, ctx)))
+                .collect();
+            let m = service.loop_metrics().filter(|_| observed);
+            conn.send(&envelope(replies, batched), m);
+        });
+        // A full queue blocks this reader until a worker frees a slot:
+        // the backpressure.
+        if jobs.send(job).is_err() {
+            break;
+        }
+    }
+    service.closed(conn_id);
+}
+
+/// The shard server's [`Service`]: reads against the current state,
+/// replication applied in-band.
+struct ShardService {
+    shard: usize,
+    n_shards: usize,
+    state: RwLock<Arc<ShardState>>,
+    /// Replication-log position: the seq of the last applied record.
+    applied: AtomicU64,
+    metrics: Arc<MetricsRegistry>,
+    wire_m: WireLoopMetrics,
+    repl_m: ReplMetrics,
+    scrape_label: String,
+    /// Test hook: artificial per-request serve delay (see [`ServeDelay`]).
+    delay: RwLock<Option<ServeDelay>>,
+}
+
+impl ShardService {
+    /// Applies one sequenced record. The log contract: records apply
+    /// exactly in sequence; anything else is a typed gap the owner
+    /// resolves by replaying the missing suffix or re-bootstrapping.
+    fn append(
+        &self,
+        seq: u64,
+        record: &queryplane::DeltaRecord,
+        ctx: Option<TraceContext>,
+    ) -> Frame {
+        let expected = self.applied.load(Ordering::SeqCst) + 1;
+        if seq != expected {
+            return Frame::Error(WireError::SeqGap { expected, got: seq });
+        }
+        let started = Instant::now();
+        let mut guard = self.state.write().unwrap();
+        let cur = Arc::clone(&guard);
+        let mut view = cur.view.clone();
+        if let Err(e) = view.apply_record(record) {
+            return Frame::Error(e);
+        }
+        *guard = Arc::new(ShardState {
+            shard: cur.shard.clone(),
+            view,
+        });
+        self.applied.store(seq, Ordering::SeqCst);
+        let m = &self.repl_m;
+        m.applied_total.inc();
+        m.applied_seq.set(seq as i64);
+        m.apply_ns.record_duration(started.elapsed());
+        // The apply joins the publisher's trace (the envelope's
+        // context): the replica-side evidence when a slow query
+        // overlapped a replication burst.
+        if let Some(c) = ctx {
+            let tracer = self.metrics.tracer();
+            tracer.submit(
+                SpanEvent {
+                    class: "DeltaAppend",
+                    stage: "apply",
+                    epoch: seq,
+                    shard: self.shard as u32,
+                    start_ns: tracer.offset_ns(started),
+                    dur_ns: started.elapsed().as_nanos() as u64,
+                    trace_id: c.trace_id,
+                    span_id: tracer.next_span_id(),
+                    parent_id: c.span_id,
+                    steals: 0,
+                },
+                c.sampled,
+            );
+        }
+        Frame::DeltaAck {
+            shard: self.shard as u16,
+            applied: seq,
+        }
+    }
+
+    /// Installs a full snapshot slice at `seq`, unconditionally: a fresh
+    /// or fallen-behind replica rejoins the log here.
+    fn install(&self, seq: u64, view: &[u8]) -> Frame {
+        let mut guard = self.state.write().unwrap();
+        let cur = Arc::clone(&guard);
+        // The snapshot bytes need the deployment's shared MPHF to decode;
+        // the replica re-attaches its own copy, so the installed
+        // hierarchies compare `Arc::ptr_eq`-equal to locally captured
+        // ones.
+        let decoded = match cur.view.mphf() {
+            Some(mphf) => {
+                let mut d = Dec::new(view);
+                Snapshot::wire_dec(&mut d, mphf).and_then(|s| d.finish().map(|_| s))
+            }
+            None => Err(WireError::Remote(
+                "replica holds no MPHF to decode a snapshot".to_string(),
+            )),
+        };
+        match decoded {
+            Ok(new_view) => {
+                *guard = Arc::new(ShardState {
+                    shard: cur.shard.clone(),
+                    view: new_view,
+                });
+                self.applied.store(seq, Ordering::SeqCst);
+                self.repl_m.installs.inc();
+                self.repl_m.applied_seq.set(seq as i64);
+                Frame::DeltaAck {
+                    shard: self.shard as u16,
+                    applied: seq,
+                }
+            }
+            Err(e) => Frame::Error(e),
+        }
+    }
+}
+
+impl Service for ShardService {
+    fn hello(&self) -> Frame {
+        Frame::Hello {
+            shard: self.shard as u16,
+            n_shards: self.n_shards as u16,
+        }
+    }
+
+    /// Replication — the one write path.
+    fn serve_in_band(&self, req: &Frame, ctx: Option<TraceContext>, _conn: &Arc<Conn>) -> Frame {
+        let misrouted = |what: &str, shard: u16| {
+            Frame::Error(WireError::Remote(format!(
+                "{what} for shard {shard} sent to shard {}",
+                self.shard
+            )))
+        };
+        match req {
+            Frame::DeltaAppend { shard, .. } if *shard as usize != self.shard => {
+                misrouted("delta", *shard)
+            }
+            Frame::DeltaAppend { seq, record, .. } => self.append(*seq, record, ctx),
+            Frame::SnapshotInstall { shard, .. } if *shard as usize != self.shard => {
+                misrouted("snapshot", *shard)
+            }
+            Frame::SnapshotInstall { seq, view, .. } => self.install(*seq, view),
+            Frame::ReplicaStatusReq => Frame::ReplicaStatusRep {
+                shard: self.shard as u16,
+                applied: self.applied.load(Ordering::SeqCst),
+            },
+            other => self.state.read().unwrap().serve(other),
+        }
+    }
+
+    /// Serves one read-only request (scrape or shard read). When the
+    /// envelope carried a [`TraceContext`], the whole serve — *including*
+    /// any rigged [`ServeDelay`] — records as a serve-stage span in the
+    /// request's trace; the `wire.serve_ns` histogram stays
+    /// delay-exclusive.
+    fn serve_read(self: &Arc<Self>, req: &Frame, ctx: Option<TraceContext>) -> Frame {
+        let span_started = Instant::now();
+        if let Some(d) = self.delay.read().unwrap().as_ref() {
+            std::thread::sleep(d(req));
+        }
+        // Scrapes are side-effect-free: snapshot-based, excluded from
+        // the wire histograms, and they never record spans of their own,
+        // so repeated scrapes of a quiesced server are identical.
+        if matches!(req, Frame::StatsScrapeReq) {
+            return Frame::StatsScrapeRep(vec![(
+                self.scrape_label.clone(),
+                self.metrics.snapshot(),
+            )]);
+        }
+        if matches!(req, Frame::TraceScrapeReq) {
+            return Frame::TraceScrapeRep(vec![(
+                self.scrape_label.clone(),
+                crate::traces::dump_spans(self.metrics.tracer()),
+            )]);
+        }
+        let serve_started = Instant::now();
+        let reply = {
+            let state = self.state.read().unwrap().clone();
+            state.serve(req)
+        };
+        self.wire_m
+            .serve_ns
+            .record_duration(serve_started.elapsed());
+        self.wire_m.frames_served.inc();
+        if let Some(c) = ctx {
+            let tracer = self.metrics.tracer();
+            tracer.submit(
+                SpanEvent {
+                    class: req.kind_name(),
+                    stage: "serve",
+                    epoch: 0,
+                    shard: self.shard as u32,
+                    start_ns: tracer.offset_ns(span_started),
+                    dur_ns: span_started.elapsed().as_nanos() as u64,
+                    trace_id: c.trace_id,
+                    span_id: tracer.next_span_id(),
+                    parent_id: c.span_id,
+                    steals: 0,
+                },
+                c.sampled,
+            );
+        }
+        reply
+    }
+
+    fn loop_metrics(&self) -> Option<&WireLoopMetrics> {
+        Some(&self.wire_m)
+    }
 }
 
 /// A running shard server.
 pub struct ShardServer {
-    listener: Listener,
-    state: Arc<RwLock<Arc<ShardState>>>,
-    /// Replication-log position: the seq of the last applied record.
-    applied: Arc<AtomicU64>,
-    shard: usize,
-    max_frame: u32,
-    metrics: Arc<MetricsRegistry>,
-    /// Test hook: artificial per-request serve delay (see [`ServeDelay`]).
-    delay: Arc<RwLock<Option<ServeDelay>>>,
+    endpoint: Endpoint,
+    service: Arc<ShardService>,
 }
 
 impl ShardServer {
@@ -604,11 +870,6 @@ impl ShardServer {
     /// bound address comes back via [`ShardServer::local_addr`].
     pub fn spawn(state: ShardState, n_shards: usize, cfg: WireConfig) -> Result<Self, WireError> {
         let shard = state.shard.id();
-        let state = Arc::new(RwLock::new(Arc::new(state)));
-        let serving = Arc::clone(&state);
-        let applied = Arc::new(AtomicU64::new(0));
-        let applying = Arc::clone(&applied);
-        let max_frame = cfg.max_frame;
         let metrics = Arc::new(MetricsRegistry::new());
         // Perturb the span-id seed per shard (deterministically) so ids
         // minted by different processes of one cluster never collide in
@@ -616,386 +877,66 @@ impl ShardServer {
         metrics
             .tracer()
             .set_id_seed((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let m = WireLoopMetrics::new(&metrics);
-        let repl_m = ReplMetrics::new(&metrics);
-        let scrape_label = format!("shard{shard}");
-        let scrape_reg = Arc::clone(&metrics);
-        let delay: Arc<RwLock<Option<ServeDelay>>> = Arc::new(RwLock::new(None));
-        let delay_hook = Arc::clone(&delay);
-        let listener = Listener::spawn(
-            &format!("wireplane-shard{shard}"),
-            cfg.max_conns,
-            move |mut stream| {
-                // Greet with role + shard id so the dialer can verify it
-                // reached the shard it meant to.
-                if (Frame::Hello {
-                    shard: shard as u16,
-                    n_shards: n_shards as u16,
-                })
-                .write(&mut stream)
-                .is_err()
-                {
-                    return;
-                }
-                // All replies funnel through one shared writer so the
-                // spawned tagged-serve threads below never interleave
-                // partial frames with the loop's own replies.
-                let writer = match stream.try_clone() {
-                    Ok(s) => Arc::new(Mutex::new(s)),
-                    Err(_) => return,
-                };
-                let ctx = Arc::new(ServeCtx {
-                    state: Arc::clone(&serving),
-                    metrics: m.clone(),
-                    scrape_label: scrape_label.clone(),
-                    scrape_reg: Arc::clone(&scrape_reg),
-                    shard: shard as u32,
-                    delay: Arc::clone(&delay_hook),
-                });
-                let mut serves: Vec<JoinHandle<()>> = Vec::new();
-                loop {
-                    let (tag, payload) = match read_frame(&mut stream, max_frame) {
-                        Ok(fr) => fr,
-                        Err(WireError::Io { .. }) => break, // peer gone
-                        Err(e) => {
-                            // Framing is lost: report the typed error and
-                            // drop the connection (the client reconnects).
-                            let _ = write_shared(&writer, &Frame::Error(e));
-                            break;
-                        }
-                    };
-                    let decode_started = Instant::now();
-                    let req = match Frame::decode(tag, &payload) {
-                        Ok(req) => req,
-                        Err(e) => {
-                            let _ = write_shared(&writer, &Frame::Error(e));
-                            break;
-                        }
-                    };
-                    let decode_elapsed = decode_started.elapsed();
-                    match req {
-                        // Multiplexed fast path: tagged requests complete
-                        // out of order on spawned serve threads, so a
-                        // slow fan-out never convoys the scrapes and
-                        // replication acks sharing the link. Sequenced
-                        // replication frames are the exception — they
-                        // serve in-band, in arrival order, or SeqGap
-                        // would fire on every reordering.
-                        Frame::Tagged {
-                            req_id,
-                            ctx: tctx,
-                            inner,
-                        } => {
-                            // Tagged scrapes stay side-effect-free: not
-                            // even their decode is recorded.
-                            let is_scrape =
-                                matches!(*inner, Frame::StatsScrapeReq | Frame::TraceScrapeReq);
-                            if !is_scrape {
-                                m.decode_ns.record_duration(decode_elapsed);
-                            }
-                            if let Some(reply) = serve_replication(
-                                &inner,
-                                shard,
-                                &serving,
-                                &applying,
-                                &repl_m,
-                                scrape_reg.tracer(),
-                            ) {
-                                if !write_shared_observed(
-                                    &writer,
-                                    &Frame::Tagged {
-                                        req_id,
-                                        ctx: None,
-                                        inner: Box::new(reply),
-                                    },
-                                    Some(&m),
-                                ) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            reap(&mut serves, false);
-                            let inner = Arc::new(*inner);
-                            let mut inline = true;
-                            if serves.len() < MAX_INFLIGHT_SERVES {
-                                let ctx = Arc::clone(&ctx);
-                                let writer = Arc::clone(&writer);
-                                let inner = Arc::clone(&inner);
-                                let spawn = std::thread::Builder::new()
-                                    .name(format!("wireplane-shard{shard}-serve"))
-                                    .spawn(move || {
-                                        let reply = ctx.serve_read(&inner, tctx);
-                                        let _ = write_shared_observed(
-                                            &writer,
-                                            &Frame::Tagged {
-                                                req_id,
-                                                ctx: None,
-                                                inner: Box::new(reply),
-                                            },
-                                            (!is_scrape).then_some(&ctx.metrics),
-                                        );
-                                    });
-                                if let Ok(h) = spawn {
-                                    serves.push(h);
-                                    inline = false;
-                                }
-                            }
-                            // Beyond the in-flight cap (or on spawn
-                            // failure) the loop serves inline, which
-                            // also throttles the reader — backpressure.
-                            if inline {
-                                let reply = ctx.serve_read(&inner, tctx);
-                                if !write_shared_observed(
-                                    &writer,
-                                    &Frame::Tagged {
-                                        req_id,
-                                        ctx: None,
-                                        inner: Box::new(reply),
-                                    },
-                                    (!is_scrape).then_some(&m),
-                                ) {
-                                    break;
-                                }
-                            }
-                        }
-                        // A whole wave batch serves on one thread and
-                        // answers with one BatchRep; other tagged traffic
-                        // keeps flowing meanwhile. Batches carrying
-                        // replication serve in-band for the same ordering
-                        // reason as above.
-                        Frame::Batch(entries) => {
-                            let all_scrapes = entries.iter().all(|(_, _, f)| {
-                                matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
-                            });
-                            if !all_scrapes {
-                                m.decode_ns.record_duration(decode_elapsed);
-                            }
-                            let has_repl = entries.iter().any(|(_, _, f)| {
-                                matches!(
-                                    f,
-                                    Frame::DeltaAppend { .. }
-                                        | Frame::SnapshotInstall { .. }
-                                        | Frame::ReplicaStatusReq
-                                )
-                            });
-                            if has_repl {
-                                let replies: Vec<(u32, Frame)> = entries
-                                    .iter()
-                                    .map(|(id, tctx, f)| {
-                                        let reply = serve_replication(
-                                            f,
-                                            shard,
-                                            &serving,
-                                            &applying,
-                                            &repl_m,
-                                            scrape_reg.tracer(),
-                                        )
-                                        .unwrap_or_else(|| ctx.serve_read(f, *tctx));
-                                        (*id, reply)
-                                    })
-                                    .collect();
-                                if !write_shared_observed(
-                                    &writer,
-                                    &Frame::BatchRep(replies),
-                                    Some(&m),
-                                ) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            reap(&mut serves, false);
-                            // Captures only Arcs, so the closure is Clone:
-                            // one copy can go to a spawned thread while
-                            // the original stays callable inline.
-                            let serve_batch = {
-                                let ctx = Arc::clone(&ctx);
-                                let writer = Arc::clone(&writer);
-                                let entries = Arc::new(entries);
-                                move || {
-                                    let replies: Vec<(u32, Frame)> = entries
-                                        .iter()
-                                        .map(|(id, tctx, f)| (*id, ctx.serve_read(f, *tctx)))
-                                        .collect();
-                                    write_shared_observed(
-                                        &writer,
-                                        &Frame::BatchRep(replies),
-                                        (!all_scrapes).then_some(&ctx.metrics),
-                                    )
-                                }
-                            };
-                            let mut inline = true;
-                            if serves.len() < MAX_INFLIGHT_SERVES {
-                                let sb = serve_batch.clone();
-                                let spawn = std::thread::Builder::new()
-                                    .name(format!("wireplane-shard{shard}-serve"))
-                                    .spawn(move || {
-                                        let _ = sb();
-                                    });
-                                if let Ok(h) = spawn {
-                                    serves.push(h);
-                                    inline = false;
-                                }
-                            }
-                            // Beyond the in-flight cap — or on a transient
-                            // spawn failure, which must not kill the
-                            // connection and every exchange in flight on
-                            // it — serve inline, mirroring the Tagged
-                            // path (inline also throttles the reader:
-                            // backpressure).
-                            if inline && !serve_batch() {
-                                break;
-                            }
-                        }
-                        // Legacy untagged path: serve in arrival order.
-                        req => {
-                            // Scrapes are answered entirely side-effect-
-                            // free — not even their own decode/encode is
-                            // recorded — so the snapshot that crosses the
-                            // wire is exactly the server registry's, and
-                            // repeated scrapes of a quiesced server are
-                            // identical.
-                            if matches!(req, Frame::StatsScrapeReq) {
-                                let reply = Frame::StatsScrapeRep(vec![(
-                                    scrape_label.clone(),
-                                    scrape_reg.snapshot(),
-                                )]);
-                                if !write_shared(&writer, &reply) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            if matches!(req, Frame::TraceScrapeReq) {
-                                let reply = Frame::TraceScrapeRep(vec![(
-                                    scrape_label.clone(),
-                                    crate::traces::dump_spans(scrape_reg.tracer()),
-                                )]);
-                                if !write_shared(&writer, &reply) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            // Replication frames are the one write path:
-                            // handled here (the shared `serve` is
-                            // read-only).
-                            if let Some(reply) = serve_replication(
-                                &req,
-                                shard,
-                                &serving,
-                                &applying,
-                                &repl_m,
-                                scrape_reg.tracer(),
-                            ) {
-                                if !write_shared(&writer, &reply) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            m.decode_ns.record_duration(decode_elapsed);
-                            let serve_started = Instant::now();
-                            let reply = {
-                                let state = serving.read().unwrap().clone();
-                                state.serve(&req)
-                            };
-                            m.serve_ns.record_duration(serve_started.elapsed());
-                            let encode_started = Instant::now();
-                            let Ok(buf) = reply.to_frame_bytes() else {
-                                break;
-                            };
-                            m.encode_ns.record_duration(encode_started.elapsed());
-                            m.frames_served.inc();
-                            let ok = {
-                                let mut w = writer.lock().unwrap();
-                                w.write_all(&buf).is_ok() && w.flush().is_ok()
-                            };
-                            if !ok {
-                                break;
-                            }
-                        }
-                    }
-                }
-                reap(&mut serves, true);
-            },
-        )?;
-        Ok(ShardServer {
-            listener,
-            state,
-            applied,
+        let service = Arc::new(ShardService {
             shard,
-            max_frame: cfg.max_frame,
+            n_shards,
+            state: RwLock::new(Arc::new(state)),
+            applied: AtomicU64::new(0),
+            wire_m: WireLoopMetrics::new(&metrics),
+            repl_m: ReplMetrics::new(&metrics),
             metrics,
-            delay,
-        })
+            scrape_label: format!("shard{shard}"),
+            delay: RwLock::new(None),
+        });
+        let endpoint = Endpoint::spawn(
+            &format!("wireplane-shard{shard}"),
+            &cfg,
+            Arc::clone(&service),
+        )?;
+        Ok(ShardServer { endpoint, service })
     }
 
     /// Installs (or clears, with `None`) an artificial per-request serve
-    /// delay on the multiplexed path. Test hook: the interleaving suite
+    /// delay on read-only requests. Test hook: the interleaving suite
     /// rigs request-dependent delays so tagged replies provably complete
     /// out of order.
     pub fn set_serve_delay(&self, delay: Option<ServeDelay>) {
-        *self.delay.write().unwrap() = delay;
+        *self.service.delay.write().unwrap() = delay;
     }
 
     /// The shard this server owns.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.service.shard
     }
 
     /// This server's obsplane registry (`wire.*` frame metrics). The
     /// scrape RPC serves snapshots of exactly this registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.service.metrics
     }
 
     /// The bound loopback address (ephemeral port chosen by the kernel).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.addr()
+        self.endpoint.addr()
     }
 
     /// The replica's replication-log position: seq of the last applied
     /// [`Frame::DeltaAppend`] (or [`Frame::SnapshotInstall`] bootstrap).
     pub fn applied_seq(&self) -> u64 {
-        self.applied.load(Ordering::SeqCst)
+        self.service.applied.load(Ordering::SeqCst)
     }
 
     /// The state currently being served, as the connection loop sees it.
     /// Divergence tests compare a primary's and standby's views through
     /// this — both must be bit-identical at every applied seq.
     pub fn state(&self) -> Arc<ShardState> {
-        Arc::clone(&self.state.read().unwrap())
+        Arc::clone(&self.service.state.read().unwrap())
     }
 
-    /// Legacy out-of-band state swap, kept so old drivers keep working.
-    /// State ingestion is in-band now: this shim encodes the new view and
-    /// forwards it to the server's own listener as a synthetic
-    /// [`Frame::SnapshotInstall`] at the next seq, so the swap moves the
-    /// replication-log position exactly like a real bootstrap would. The
-    /// directory slice of `state` is dropped — the partition is fixed at
-    /// spawn and a swap cannot change shard ownership.
-    #[deprecated(note = "publish the replication log instead (Frame::DeltaAppend / \
-                Frame::SnapshotInstall via wireplane::repl::ReplicaWriter)")]
-    pub fn swap_state(&self, state: ShardState) {
-        let mut e = Enc::new();
-        state.view.wire_enc(&mut e);
-        let frame = Frame::SnapshotInstall {
-            shard: self.shard as u16,
-            seq: self.applied.load(Ordering::SeqCst) + 1,
-            view: e.into_bytes(),
-        };
-        let Ok(mut stream) = TcpStream::connect(self.local_addr()) else {
-            return;
-        };
-        let _ = stream.set_nodelay(true);
-        // Greeting, install, ack — errors are the shim's to swallow (the
-        // legacy API had no failure channel either).
-        if Frame::read(&mut stream, self.max_frame).is_ok() && frame.write(&mut stream).is_ok() {
-            let _ = stream.flush();
-            let _ = Frame::read(&mut stream, self.max_frame);
-        }
-    }
-
-    /// Graceful shutdown: stop accepting, join every connection thread.
+    /// Graceful shutdown: stop accepting, join every connection thread,
+    /// then the serve pool.
     pub fn shutdown(mut self) {
-        self.listener.shutdown();
+        self.endpoint.shutdown();
     }
 }
 

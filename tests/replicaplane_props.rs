@@ -208,3 +208,43 @@ fn corrupt_replication_frames_never_move_the_log() {
     assert_eq!(w.status().unwrap(), 0);
     cluster.shutdown();
 }
+
+/// The deployment's trace sample rate reaches the publisher: at rate 0 a
+/// refresh records no replicate-stage span on the owner and no
+/// apply-stage span on any replica — while rate 1 records both, so the
+/// check is not vacuous.
+#[test]
+fn rate_zero_cluster_refresh_records_no_replication_spans() {
+    let mut tb = replication_testbed();
+    tb.sim.run_until(SimTime::from_ms(5));
+    let analyzer = tb.analyzer();
+    let (n_shards, n_replicas) = (2usize, 2usize);
+    for rate in [0u32, 1] {
+        let cfg = WireConfig {
+            trace_sample_rate: rate,
+            ..WireConfig::default()
+        };
+        let cluster = ReplicaCluster::launch(&analyzer, n_shards, n_replicas, cfg).unwrap();
+        tb.sim.run_until(SimTime::from_ms(8));
+        cluster.refresh(&analyzer);
+        assert_no_divergence(&cluster, n_shards, &format!("rate {rate}"));
+
+        let owner = cluster.owner_spans();
+        let applies: usize = (0..n_shards)
+            .flat_map(|s| (0..n_replicas).map(move |r| (s, r)))
+            .map(|(s, r)| {
+                let reg = cluster.replica_metrics(s, r).expect("live replica");
+                let events = reg.tracer().events();
+                events.iter().filter(|e| e.stage == "apply").count()
+            })
+            .sum();
+        if rate == 0 {
+            assert!(owner.is_empty(), "rate 0 recorded owner spans: {owner:?}");
+            assert_eq!(applies, 0, "rate 0 recorded replica apply spans");
+        } else {
+            assert_eq!(owner.len(), n_shards * n_replicas, "one root per append");
+            assert_eq!(applies, n_shards * n_replicas, "one apply per append");
+        }
+        cluster.shutdown();
+    }
+}

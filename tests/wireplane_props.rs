@@ -15,7 +15,8 @@
 //!     with zero duplicated and zero dropped transitions.
 //! (d) **Boundaries are typed.** Degenerate plane configs are rejected
 //!     with [`queryplane::ConfigError`]; a full accept pool refuses with
-//!     a typed error frame.
+//!     a typed error frame; a bare frame after the greeting is answered
+//!     with a typed error and a close.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -549,13 +550,10 @@ fn gen_frames(rng: &mut TestRng) -> Vec<Frame> {
             pending: rng.below(4),
             incidents: rng.below(8),
         }),
-        // Context-free on purpose: gen_frames feeds the legacy byte pins;
-        // ctx-bearing envelopes get their own roundtrip/fuzz suite below.
         Frame::DeltaAppend {
             shard: rng.below(8) as u16,
             seq: 1 + rng.below(1000),
             record: gen_delta_record(rng),
-            ctx: None,
         },
         Frame::TraceScrapeReq,
         Frame::TraceScrapeRep(
@@ -1221,6 +1219,81 @@ fn accept_pool_exhaustion_is_a_typed_refusal() {
     cluster.shutdown();
 }
 
+/// After the greeting only envelopes are spoken. A bare request frame
+/// sent to a shard server or to the front-end is answered with a bare
+/// typed `Frame::Error`, and the server closes the connection.
+#[test]
+fn bare_frames_after_the_greeting_get_a_typed_error_and_a_close() {
+    use std::io::Read as _;
+    let topo = Topology::chain(3, 2, GBPS);
+    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    tb.sim.run_until(SimTime::from_ms(2));
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
+    let peers = [
+        ("shard server", cluster.shard_addrs()[0], Frame::HorizonReq),
+        ("front-end", cluster.front_addr(), Frame::StatsScrapeReq),
+    ];
+    for (role, addr, bare) in peers {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match Frame::read(&mut stream, MAX_FRAME).unwrap() {
+            Frame::Hello { .. } => {}
+            other => panic!("{role}: expected the greeting, got {other:?}"),
+        }
+        bare.write(&mut stream).unwrap();
+        match Frame::read(&mut stream, MAX_FRAME) {
+            Ok(Frame::Error(WireError::Remote(msg))) => {
+                assert!(msg.contains("envelope"), "{role}: unexpected refusal {msg}")
+            }
+            other => panic!("{role}: a bare frame got {other:?} instead of a typed error"),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(
+            stream.read_to_end(&mut rest).unwrap(),
+            0,
+            "{role}: the connection stayed open after the refusal"
+        );
+    }
+    // The refusals were per connection: the deployment keeps serving.
+    let mut client = cluster.client().unwrap();
+    assert_eq!(client.scrape_stats().unwrap().len(), 2);
+    cluster.shutdown();
+}
+
+/// A query whose shard is unreachable on every replica comes back as a
+/// typed error on the client's connection — never a hang — and the
+/// front-end keeps serving that connection afterwards.
+#[test]
+fn unreachable_shard_fails_the_query_with_a_typed_error() {
+    let topo = Topology::chain(3, 2, GBPS);
+    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    tb.sim.run_until(SimTime::from_ms(2));
+    let analyzer = tb.analyzer();
+    let cluster = ReplicaCluster::launch(&analyzer, 1, 1, WireConfig::default()).unwrap();
+    let mut client = cluster.client().unwrap();
+    let req = QueryRequest::TopK {
+        switch: tb.node("S2"),
+        k: 4,
+        range: EpochRange { lo: 0, hi: 1 },
+    };
+    client.query(&req).unwrap();
+    assert!(cluster.kill_primary(0));
+    match client.query(&req) {
+        Err(WireError::Remote(msg)) => assert!(msg.contains("QueryReq"), "{msg}"),
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    // The failure was the query's, not the connection's.
+    assert!(
+        client.scrape_stats().is_err(),
+        "the dead shard cannot be scraped"
+    );
+    assert!(client.subscribe(StandingQuery::Fixed(req), 0).is_ok());
+    cluster.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // Streamed events are well-formed (window digests carry the log sizes)
 // ----------------------------------------------------------------------
@@ -1351,109 +1424,6 @@ fn scraped_stats_equal_server_registries_and_merge_to_totals() {
 // ----------------------------------------------------------------------
 // (f) The wire fast path: batch envelopes, multiplexing, buffer reuse
 // ----------------------------------------------------------------------
-
-/// Differential codec pin: every legacy frame type, wrapped in the fast
-/// path's `Tagged`/`Batch`/`BatchRep` envelopes, decodes back to exactly
-/// the value the legacy codec produces for the same frame. The compact
-/// payload forms (delta-packed ids, run-length bitsets, var-int lists)
-/// may lay the bytes out differently — the *decoded value* may not
-/// differ by a bit.
-#[test]
-fn envelope_framing_decodes_every_frame_type_to_its_legacy_value() {
-    let mut rng = rng_for("wireplane envelope differential");
-    for round in 0..10 {
-        let frames = gen_frames(&mut rng);
-        // The legacy codec's view of each frame, via the un-enveloped
-        // path (pinned as the identity by the roundtrip test above).
-        let legacy: Vec<Frame> = frames
-            .iter()
-            .map(|f| {
-                let bytes = f.to_frame_bytes().unwrap();
-                let (tag, payload) = read_frame(&mut &bytes[..], MAX_FRAME).unwrap();
-                Frame::decode(tag, &payload).unwrap()
-            })
-            .collect();
-
-        // Tagged: each frame alone under a req-id envelope.
-        for (i, f) in frames.iter().enumerate() {
-            let req_id = i as u32 * 7 + 1;
-            let tagged = Frame::Tagged {
-                req_id,
-                ctx: None,
-                inner: Box::new(f.clone()),
-            };
-            let bytes = tagged.to_frame_bytes().unwrap();
-            let (tag, payload) = read_frame(&mut &bytes[..], MAX_FRAME).unwrap();
-            match Frame::decode(tag, &payload).unwrap() {
-                Frame::Tagged {
-                    req_id: got,
-                    ctx,
-                    inner,
-                } => {
-                    assert_eq!(got, req_id);
-                    assert_eq!(ctx, None);
-                    assert_eq!(
-                        format!("{inner:?}"),
-                        format!("{:?}", legacy[i]),
-                        "round {round}: tagged {f:?} diverged from the legacy codec"
-                    );
-                }
-                other => panic!("tagged envelope decoded to {other:?}"),
-            }
-        }
-
-        // Batch: the whole sample set in one frame.
-        let entries: Vec<(u32, Option<TraceContext>, Frame)> = frames
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, f)| (i as u32, None, f))
-            .collect();
-        let batch = Frame::Batch(entries);
-        let bytes = batch.to_frame_bytes().unwrap();
-        let (tag, payload) = read_frame(&mut &bytes[..], MAX_FRAME).unwrap();
-        match Frame::decode(tag, &payload).unwrap() {
-            Frame::Batch(got) => {
-                assert_eq!(got.len(), frames.len());
-                for ((id, ctx, inner), (i, want)) in got.iter().zip(legacy.iter().enumerate()) {
-                    assert_eq!(*id, i as u32);
-                    assert_eq!(*ctx, None);
-                    assert_eq!(
-                        format!("{inner:?}"),
-                        format!("{want:?}"),
-                        "round {round}: batch entry {i} diverged from the legacy codec"
-                    );
-                }
-            }
-            other => panic!("batch envelope decoded to {other:?}"),
-        }
-
-        // BatchRep: same, on the reply side.
-        let entries: Vec<(u32, Frame)> = frames
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, f)| (i as u32, f))
-            .collect();
-        let rep = Frame::BatchRep(entries);
-        let bytes = rep.to_frame_bytes().unwrap();
-        let (tag, payload) = read_frame(&mut &bytes[..], MAX_FRAME).unwrap();
-        match Frame::decode(tag, &payload).unwrap() {
-            Frame::BatchRep(got) => {
-                assert_eq!(got.len(), frames.len());
-                for ((id, inner), (i, want)) in got.iter().zip(legacy.iter().enumerate()) {
-                    assert_eq!(*id, i as u32);
-                    assert_eq!(
-                        format!("{inner:?}"),
-                        format!("{want:?}"),
-                        "round {round}: batch reply entry {i} diverged from the legacy codec"
-                    );
-                }
-            }
-            other => panic!("batch reply envelope decoded to {other:?}"),
-        }
-    }
-}
 
 /// The fuzz bar extended to the envelope frames: strict prefixes are
 /// typed errors, single-byte flips never panic, hostile length fields
@@ -1986,7 +1956,6 @@ fn mux_replication_scrapes_and_reads_share_the_link_with_seqgap_enforced() {
             shard: 0,
             seq: applied + 7,
             record,
-            ctx: None,
         })
         .unwrap()
     {
@@ -2072,11 +2041,11 @@ fn transport_errors_name_the_peer_through_retry_rotation() {
 //     verdict invariance under every sampling rate, slow-query exemplars
 // ----------------------------------------------------------------------
 
-/// Trace contexts embedded in envelopes round-trip exactly; a context
-/// cut anywhere inside its 17-byte body is a typed error; a hostile
-/// flags byte is refused; and — the interop pin — a `DeltaAppend` whose
-/// payload ends exactly at the record boundary (what a pre-context
-/// writer emits) decodes as the same frame with `ctx: None`.
+/// Envelopes round-trip every frame type exactly, and so do the trace
+/// contexts embedded in them — including around a `DeltaAppend`, whose
+/// apply span takes its context from the envelope; a context cut
+/// anywhere inside its 17-byte body is a typed error; and a hostile flags
+/// byte is refused.
 #[test]
 fn trace_context_envelopes_roundtrip_truncate_and_interop() {
     let mut rng = rng_for("wireplane trace ctx roundtrip");
@@ -2087,9 +2056,11 @@ fn trace_context_envelopes_roundtrip_truncate_and_interop() {
         sampled: true,
     };
 
-    // Round-trip with the context present, all three envelope kinds.
+    // Round-trip with the context present, all three envelope kinds;
+    // every frame type also rides a context-free `Tagged` and a
+    // `BatchRep`.
     let record = gen_delta_record(&mut rng);
-    let samples = vec![
+    let mut samples = vec![
         Frame::Tagged {
             req_id: 7,
             ctx: Some(ctx),
@@ -2112,13 +2083,29 @@ fn trace_context_envelopes_roundtrip_truncate_and_interop() {
                 })
                 .collect(),
         ),
-        Frame::DeltaAppend {
-            shard: 3,
-            seq: 99,
-            record: record.clone(),
+        Frame::Tagged {
+            req_id: 99,
             ctx: Some(ctx),
+            inner: Box::new(Frame::DeltaAppend {
+                shard: 3,
+                seq: 99,
+                record,
+            }),
         },
+        Frame::BatchRep(
+            frames
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, f)| (i as u32, f))
+                .collect(),
+        ),
     ];
+    samples.extend(frames.iter().enumerate().map(|(i, f)| Frame::Tagged {
+        req_id: i as u32,
+        ctx: None,
+        inner: Box::new(f.clone()),
+    }));
     for frame in &samples {
         let bytes = frame.to_frame_bytes().unwrap();
         let (tag, payload) = read_frame(&mut &bytes[..], MAX_FRAME).unwrap();
@@ -2154,44 +2141,13 @@ fn trace_context_envelopes_roundtrip_truncate_and_interop() {
             "hostile flags byte {flags:#04x} not refused as BadTag"
         );
     }
-
-    // Interop pin: cutting the traced DeltaAppend exactly at the record
-    // boundary yields a pre-context writer's byte image, and it decodes
-    // as the same append with no context — new readers accept old
-    // frames; anything shorter is truncation, anything longer that is
-    // not a context is TrailingBytes.
-    let traced = &samples[2];
-    let bytes = traced.to_frame_bytes().unwrap();
-    let (tag, payload) = read_frame(&mut &bytes[..], MAX_FRAME).unwrap();
-    let legacy_len = payload.len() - 18; // marker + 17-byte body
-    match Frame::decode(tag, &payload[..legacy_len]).unwrap() {
-        Frame::DeltaAppend {
-            shard,
-            seq,
-            record: got,
-            ctx,
-        } => {
-            assert_eq!((shard, seq), (3, 99));
-            assert_eq!(format!("{got:?}"), format!("{record:?}"));
-            assert_eq!(ctx, None, "legacy byte image grew a context");
-        }
-        other => panic!("legacy DeltaAppend image decoded to {other:?}"),
-    }
-    for cut in legacy_len + 1..payload.len() {
-        assert!(
-            Frame::decode(tag, &payload[..cut]).is_err(),
-            "DeltaAppend cut mid-context at {cut} decoded successfully"
-        );
-    }
 }
 
-/// The byte-layout differential pin for the context extension: a
-/// context-free envelope encodes byte-for-byte what the pre-context
-/// codec wrote (hand-assembled here from the documented layout), and a
-/// context-bearing envelope is exactly that image with the 17-byte
-/// `0xFF | trace | span | flags` block spliced at the documented
-/// offset. Old and new endpoints interoperate because untraced frames
-/// are indistinguishable on the wire.
+/// The byte-layout pin for envelopes and their trace context: a
+/// context-free envelope encodes byte-for-byte the documented layout
+/// (hand-assembled here), and a context-bearing envelope is exactly that
+/// image with the 17-byte `0xFF | trace | span | flags` block spliced at
+/// the documented offset. A `DeltaAppend` carries no context of its own.
 #[test]
 fn context_free_envelope_bytes_match_pre_context_layout() {
     fn leb(mut v: u64, out: &mut Vec<u8>) {
@@ -2262,7 +2218,6 @@ fn context_free_envelope_bytes_match_pre_context_layout() {
         shard: 5,
         seq: 77,
         record: record.clone(),
-        ctx: None,
     });
     let mut want = 5u16.to_le_bytes().to_vec();
     want.extend_from_slice(&77u64.to_le_bytes());
