@@ -1,4 +1,4 @@
-//! Sampled NetFlow (the paper's reference [7]): a switch app that samples
+//! Sampled NetFlow (the paper's reference \[7\]): a switch app that samples
 //! one in N packets into a flow cache.
 //!
 //! §2.1's claim, which `spexp motivation` quantifies: "packet sampling

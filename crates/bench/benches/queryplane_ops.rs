@@ -17,10 +17,14 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim::prelude::*;
 use obsplane::{HistogramSnapshot, Percentiles, RegistrySnapshot};
-use queryplane::{QueryPlane, QueryPlaneConfig, RetentionPolicy, Snapshot};
+use queryplane::{
+    price_batch, PointerCache, QueryPlane, QueryPlaneConfig, RetentionPolicy, Snapshot,
+};
 use replicaplane::ReplicaCluster;
 use streamplane::{StandingQuery, StreamConfig, StreamPlane};
+use switchpointer::cost::CostModel;
 use switchpointer::query::{QueryRequest, QUERY_CLASS_NAMES};
+use switchpointer::shard::{RouterCounters, ShardedAnalyzer};
 use switchpointer::testbed::{churn_storm, Testbed, TestbedConfig};
 use telemetry::EpochRange;
 use wireplane::{WireCluster, WireConfig};
@@ -138,8 +142,12 @@ fn workload() -> (Testbed, Vec<QueryRequest>) {
     (tb, reqs)
 }
 
-/// Modelled accounting of one batch (worker-independent: the accounting
-/// pass is a sequential replay in submission order).
+/// Pointer-cache capacity the modelled pricing runs with, in
+/// `(switch, epoch window)` keys.
+const POINTER_CACHE_CAPACITY: usize = 4096;
+
+/// Modelled price of one batch (worker-independent: `price_batch` is a
+/// sequential replay of the traces in submission order).
 struct BatchAccounting {
     cache_hit_rate: f64,
     modelled_speedup: f64,
@@ -153,53 +161,54 @@ struct ThroughputPoint {
 }
 
 fn batch_delta(
-    plane: &mut QueryPlane,
+    plane: &QueryPlane,
+    cache: &mut PointerCache,
+    cost: &CostModel,
     reqs: &[QueryRequest],
 ) -> (std::time::Duration, BatchAccounting) {
-    let before = plane.stats();
     let t0 = Instant::now();
     let outcomes = plane.execute_batch(reqs);
     let dt = t0.elapsed();
     assert_eq!(outcomes.len(), reqs.len());
-    let after = plane.stats();
-    let hits = after.pointer_hits - before.pointer_hits;
-    let misses = after.pointer_misses - before.pointer_misses;
-    let sequential = (after.sequential_total - before.sequential_total).as_ns() as f64;
-    let batched = (after.batched_total - before.batched_total).as_ns() as f64;
+    let traces: Vec<_> = outcomes.iter().map(|o| &o.trace).collect();
+    let price = price_batch(cost, cache, &traces);
+    assert!(price.batched_total <= price.sequential_total);
     (
         dt,
         BatchAccounting {
-            cache_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-            modelled_speedup: sequential / batched.max(1.0),
+            cache_hit_rate: price.cache_hit_rate(),
+            modelled_speedup: price.modelled_speedup(),
         },
     )
 }
 
-/// Timed cold + warm batches at `workers` on a fresh plane. The modelled
-/// accounting deltas are per batch (cold = empty cache, warm = the same
-/// batch repeated against a populated cache). The warm throughput is the
-/// best of five repeats — wall-clock comparisons across worker counts
-/// gate on it, so scheduler noise must not decide them.
+/// Timed cold + warm batches at `workers` on a fresh plane. Each batch is
+/// priced afterwards against one pointer cache (cold = empty cache, warm =
+/// the same batch repeated against the populated cache); the timing
+/// covers execution only. The warm throughput is the best of five
+/// repeats — wall-clock comparisons across worker counts gate on it, so
+/// scheduler noise must not decide them.
 fn measure(
     tb: &Testbed,
     reqs: &[QueryRequest],
     workers: usize,
 ) -> (ThroughputPoint, BatchAccounting, BatchAccounting) {
     let analyzer = tb.analyzer();
-    let mut plane = QueryPlane::from_analyzer(
+    let plane = QueryPlane::from_analyzer(
         &analyzer,
         QueryPlaneConfig {
             workers,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
-    let (cold_dt, cold) = batch_delta(&mut plane, reqs);
-    let (mut warm_dt, warm) = batch_delta(&mut plane, reqs);
+    let cost = analyzer.cost();
+    let mut cache = PointerCache::new(POINTER_CACHE_CAPACITY);
+    let (cold_dt, cold) = batch_delta(&plane, &mut cache, cost, reqs);
+    let (mut warm_dt, warm) = batch_delta(&plane, &mut cache, cost, reqs);
     for _ in 0..4 {
-        let (dt, _) = batch_delta(&mut plane, reqs);
+        let (dt, _) = batch_delta(&plane, &mut cache, cost, reqs);
         warm_dt = warm_dt.min(dt);
     }
     (
@@ -225,43 +234,37 @@ struct ShardPoint {
 }
 
 /// Runs the storm batch's union-decode queries (TopK / LoadImbalance)
-/// through planes with 1/2/4/8 directory shards and records the
-/// per-shard fan-out counters. The SilentDrop presence sweeps are left
-/// out: single-address probes route to exactly one owning shard, so they
-/// are sharding-neutral by construction and would only dilute the
-/// trajectory. Gates the acceptance bar: 4-shard modelled decode cost
-/// must undercut the single coordinator.
+/// through the `ShardedAnalyzer` router at 1/2/4/8 directory shards and
+/// records the per-shard fan-out counters. The SilentDrop presence
+/// sweeps are left out: single-address probes route to exactly one
+/// owning shard, so they are sharding-neutral by construction and would
+/// only dilute the trajectory. Gates the acceptance bar: 4-shard
+/// modelled decode cost must undercut the single coordinator.
 fn measure_shards(tb: &Testbed, reqs: &[QueryRequest]) -> Vec<ShardPoint> {
-    let reqs: Vec<QueryRequest> = reqs
-        .iter()
-        .filter(|r| !matches!(r, QueryRequest::SilentDrop { .. }))
-        .copied()
-        .collect();
-    let reqs = &reqs[..];
     let analyzer = tb.analyzer();
+    let cost = analyzer.cost();
     let mut points = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let mut plane = QueryPlane::from_analyzer(
-            &analyzer,
-            QueryPlaneConfig {
-                workers: 8,
-                shards: 8,
-                directory_shards: shards,
-                cache_capacity: 4096,
-                retention: None,
-            },
-        );
-        let outcomes = plane.execute_batch(reqs);
-        assert_eq!(outcomes.len(), reqs.len());
-        let fanout = plane.fanout();
-        let stats = plane.stats();
+        let sharded = ShardedAnalyzer::new(&analyzer, shards);
+        let mut total = RouterCounters::default();
+        let (mut decode_ns, mut unsharded_ns) = (0u64, 0u64);
+        for req in reqs
+            .iter()
+            .filter(|r| !matches!(r, QueryRequest::SilentDrop { .. }))
+        {
+            let (_, _, c) = sharded.execute_traced(req);
+            decode_ns += c.modelled_decode(cost).as_ns();
+            let bits: u64 = c.decode_bits.iter().sum();
+            unsharded_ns += cost.sharded_decode(&[bits], 0).as_ns();
+            total.absorb(&c);
+        }
         points.push(ShardPoint {
             shards,
-            decode_bits: fanout.decode_bits,
-            host_reads: fanout.host_reads,
-            cross_shard_merges: stats.cross_shard_merges,
-            modelled_decode_us: stats.modelled_decode_total.as_ns() as f64 / 1e3,
-            decode_speedup: stats.decode_speedup(),
+            decode_bits: total.decode_bits,
+            host_reads: total.host_reads,
+            cross_shard_merges: total.merges,
+            modelled_decode_us: decode_ns as f64 / 1e3,
+            decode_speedup: unsharded_ns as f64 / decode_ns.max(1) as f64,
         });
     }
     let at = |n: usize| {
@@ -327,7 +330,6 @@ fn measure_stream() -> StreamSummary {
                 workers: 8,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -362,7 +364,6 @@ fn measure_stream() -> StreamSummary {
             workers: 1,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
@@ -431,7 +432,6 @@ fn measure_retention() -> RetentionSummary {
             workers: 4,
             shards: 8,
             directory_shards: dir_shards,
-            cache_capacity: 4096,
             retention: Some(RetentionPolicy::budgeted(12, budget)),
         },
     );
@@ -499,13 +499,12 @@ fn measure_retention() -> RetentionSummary {
 /// caller asserts it.
 fn measure_latency(tb: &Testbed, reqs: &[QueryRequest]) -> Vec<(&'static str, Percentiles)> {
     let analyzer = tb.analyzer();
-    let mut plane = QueryPlane::from_analyzer(
+    let plane = QueryPlane::from_analyzer(
         &analyzer,
         QueryPlaneConfig {
             workers: 8,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
@@ -560,13 +559,12 @@ fn measure_worker_scaling(tb: &Testbed, reqs: &[QueryRequest]) -> WorkerScalingS
         let mut steals = 0u64;
         let mut chunks = 0u64;
         for _ in 0..3 {
-            let mut plane = QueryPlane::from_analyzer(
+            let plane = QueryPlane::from_analyzer(
                 &analyzer,
                 QueryPlaneConfig {
                     workers,
                     shards: 8,
                     directory_shards: 1,
-                    cache_capacity: 4096,
                     retention: None,
                 },
             );
@@ -1093,13 +1091,12 @@ fn bench_queryplane(c: &mut Criterion) {
             &workers,
             |b, &w| {
                 let analyzer = tb.analyzer();
-                let mut plane = QueryPlane::from_analyzer(
+                let plane = QueryPlane::from_analyzer(
                     &analyzer,
                     QueryPlaneConfig {
                         workers: w,
                         shards: 8,
                         directory_shards: 1,
-                        cache_capacity: 4096,
                         retention: None,
                     },
                 );

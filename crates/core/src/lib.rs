@@ -13,14 +13,14 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`pointer`] | §4.1.1-4.1.2 | hierarchical pointer structure, line-rate update, flush/recycling, memory & bandwidth accounting |
+//! | [`pointer`](mod@pointer) | §4.1.1-4.1.2 | hierarchical pointer structure, line-rate update, flush/recycling, memory & bandwidth accounting |
 //! | [`bitset`] | §4.1.2 | the n-bit pointer sets |
 //! | [`switch`] | §4.1 | the switch component (runs in the simulator's forwarding pipeline) |
 //! | [`host`] | §4.2 | the end-host component: telemetry decoding, flow records, throughput trigger |
 //! | [`hoststore`] | §4.2.2, §6 | the flow-record store, its filter/aggregate queries, and flow-id sharding |
 //! | [`analyzer`] | §4.3, §5 | the analyzer and the four debugging applications |
 //! | [`query`] | §4.3, §5 | the per-application query executors behind the `QueryRequest`/`QueryResponse` API, shared by the analyzer and the query plane |
-//! | [`shard`] | §4.3 scale-out | the hash-partitioned directory: `DirectoryShard` slices, the `ShardedView` state router, the `ShardedAnalyzer` front-end, and the `ShardBackend`/`BackendRouter` abstraction routing over local *or* remote shard instances |
+//! | [`shard`] | §4.3 scale-out | the hash-partitioned directory: `DirectoryShard` slices, the one `BackendRouter` routing over local *or* remote `ShardBackend`s, and the `ShardedAnalyzer` parity fixture |
 //! | [`retention`] | §4.2 "flushed to local storage" | the per-directory-shard GC pass: epoch-horizon + record-budget eviction of flow records, archived-pointer retirement, standing-query pins |
 //! | [`cost`] | §5, §6.2 | calibrated RPC latency model (Fig. 7/8/12 shapes), batched-RPC and cache-hit terms |
 //! | [`pipeline`] | §6.1 | the OVS-style forwarding pipeline of the Fig. 9 benchmark |
@@ -68,21 +68,23 @@
 //! For query *streams* — many tenants debugging the same incident window —
 //! wrap the analyzer state in the `queryplane` crate's service front-end.
 //! Responses stay bit-identical to the sequential analyzer's at any worker
-//! count; repeated pointer retrievals hit an epoch-keyed LRU and
-//! same-host fan-outs coalesce into batched RPCs:
+//! count. What pointer caching and batched host RPCs would save is a
+//! separate, post-hoc pricing of the execution traces:
 //!
 //! ```ignore
 //! // (runs as a doctest in the `queryplane` crate, which depends on this one)
-//! use queryplane::{QueryPlane, QueryPlaneConfig};
+//! use queryplane::{price_batch, PointerCache, QueryPlane, QueryPlaneConfig};
 //! use switchpointer::query::QueryRequest;
 //!
 //! let analyzer = tb.analyzer();
-//! let mut plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
+//! let plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
 //! let outcomes = plane.execute_batch(&[
 //!     QueryRequest::TopK { switch: s2, k: 10, range: window },
 //!     QueryRequest::Contention { victim, victim_dst, trigger_window },
 //! ]);
-//! println!("cache hit rate: {:.0}%", plane.stats().cache_hit_rate() * 100.0);
+//! let traces: Vec<_> = outcomes.iter().map(|o| &o.trace).collect();
+//! let price = price_batch(analyzer.cost(), &mut PointerCache::new(4096), &traces);
+//! println!("modelled cache hit rate: {:.0}%", price.cache_hit_rate() * 100.0);
 //! ```
 
 pub mod analyzer;
@@ -110,8 +112,6 @@ pub use query::{
     ExecutionTrace, PointerRound, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView,
 };
 pub use retention::{RetentionPolicy, SweepReport};
-pub use shard::{
-    host_shard_of, DirectoryShard, ShardFanout, ShardedAnalyzer, ShardedDirectory, ShardedView,
-};
+pub use shard::{host_shard_of, DirectoryShard, RouterCounters, ShardedAnalyzer, ShardedDirectory};
 pub use switch::{SwitchComponent, SwitchHandle, SwitchPointerApp};
 pub use testbed::{Testbed, TestbedConfig};

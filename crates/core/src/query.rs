@@ -1,7 +1,8 @@
 //! Reusable per-application query executors behind a uniform
 //! [`QueryRequest`] / [`QueryResponse`] API.
 //!
-//! The §5 debugging applications were originally methods on [`Analyzer`];
+//! The §5 debugging applications were originally methods on
+//! [`Analyzer`](crate::Analyzer);
 //! this module is the same logic hoisted over an abstract [`StateView`] so
 //! two front-ends can share it bit-for-bit:
 //!

@@ -3,7 +3,7 @@
 //!
 //! The paper's analyzer only ever accretes state — every epoch adds flow
 //! records at the hosts and archived pointer sets at the switches, so a
-//! continuously monitored deployment (and every [`queryplane`] snapshot
+//! continuously monitored deployment (and every `queryplane` snapshot
 //! frozen over it) grows without bound. This module reclaims what standing
 //! queries can no longer reach:
 //!

@@ -13,22 +13,26 @@
 //!   restricting a pointer set to them, a *local* per-shard MPHF (minimal
 //!   over the owned addresses) sizing the shard's own metadata.
 //! * [`ShardedDirectory`] — the full partition plus the slot → owner map.
-//! * [`ShardedView`] — a [`StateView`] router over any underlying view:
-//!   pointer unions are decoded per shard (masked slices) and reassembled
-//!   by a deterministic OR/merge; host reads route to the owning shard.
-//!   Because the shard masks partition the directory's slot range, the
-//!   reassembled state is **bit-identical** to the unsharded view's — the
-//!   property test pins verdict equality at any shard count.
-//! * [`ShardedAnalyzer`] — the thin router front-end over a live
-//!   [`Analyzer`]: fans a [`QueryRequest`]'s state reads out to the owning
-//!   shards, merges deterministically, and reports the per-shard fan-out
-//!   ([`ShardFanout`]) the cost model turns into a modelled decode time
-//!   ([`CostModel::sharded_decode`]): shards decode concurrently, the
-//!   router pays a serial cross-shard merge.
+//! * [`ShardBackend`] / [`LocalBackend`] — one shard's serving surface,
+//!   in-process or (in `wireplane`) behind a connection.
+//! * [`BackendRouter`] — the one [`StateView`] router: pointer unions are
+//!   reassembled by ORing the shards' masked slices, host reads route to
+//!   the owning shard, and waves coalesce per shard. Because the shard
+//!   masks partition the directory's slot range, the reassembled state is
+//!   **bit-identical** to the unsharded view's. It keeps the
+//!   [`RouterCounters`] (per-shard fan-out, RPCs, rounds) the cost model
+//!   turns into a modelled decode time ([`CostModel::sharded_decode`]):
+//!   shards decode concurrently, the router pays a serial cross-shard
+//!   merge.
+//! * [`ShardedAnalyzer`] — the in-process parity fixture: a
+//!   [`BackendRouter`] over one [`LocalBackend`] per shard of a live
+//!   [`Analyzer`], the reference the wire front-end is checked against.
 //!
-//! As everywhere in this repo: *answers are real, latency is modelled*.
-//! Sharding never changes a verdict; it changes who decodes what, which
-//! the fan-out counters record and the cost model prices.
+//! The in-process query plane routes nothing: it executes straight over
+//! its snapshot, and `directory_shards` only partitions snapshot deltas
+//! and keys dispatch affinity. Sharding never changes a verdict; it
+//! changes who decodes what, which the router counters record and the
+//! cost model prices.
 
 use std::sync::Arc;
 
@@ -95,12 +99,6 @@ impl DirectoryShard {
     /// pointer set this instance decodes.
     pub fn mask(&self, bits: &BitSet) -> BitSet {
         bits.intersect(&self.slot_mask)
-    }
-
-    /// How many bits of `bits` this shard decodes — `mask(bits).count()`
-    /// without materializing the slice (the hot-path accounting form).
-    pub fn count_owned(&self, bits: &BitSet) -> usize {
-        bits.count_and(&self.slot_mask)
     }
 
     /// Decodes this shard's slice of `bits` into owned host ids
@@ -223,211 +221,15 @@ impl ShardedDirectory {
     }
 }
 
-/// Per-query shard fan-out accounting: who decoded and answered what.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardFanout {
-    /// Pointer bits decoded per shard (the parallelizable work).
-    pub decode_bits: Vec<u64>,
-    /// Host-store reads routed to each shard.
-    pub host_reads: Vec<u64>,
-    /// Cross-shard merges the router performed (one per reassembled
-    /// pointer union when N > 1).
-    pub merges: u64,
-    /// Host ids flowing through those merges (the serial merge work).
-    pub merged_bits: u64,
-}
-
-impl ShardFanout {
-    /// Zeroed counters for `n_shards` shards.
-    pub fn new(n_shards: usize) -> Self {
-        ShardFanout {
-            decode_bits: vec![0; n_shards],
-            host_reads: vec![0; n_shards],
-            merges: 0,
-            merged_bits: 0,
-        }
-    }
-
-    /// Folds another query's fan-out into this accumulator.
-    pub fn absorb(&mut self, other: &ShardFanout) {
-        if self.decode_bits.len() < other.decode_bits.len() {
-            self.decode_bits.resize(other.decode_bits.len(), 0);
-            self.host_reads.resize(other.host_reads.len(), 0);
-        }
-        for (a, b) in self.decode_bits.iter_mut().zip(&other.decode_bits) {
-            *a += b;
-        }
-        for (a, b) in self.host_reads.iter_mut().zip(&other.host_reads) {
-            *a += b;
-        }
-        self.merges += other.merges;
-        self.merged_bits += other.merged_bits;
-    }
-
-    /// Shards that did any work for this query.
-    pub fn shards_touched(&self) -> usize {
-        self.decode_bits
-            .iter()
-            .zip(&self.host_reads)
-            .filter(|&(&d, &h)| d > 0 || h > 0)
-            .count()
-    }
-
-    /// Modelled decode wall time under `cost`: concurrent per-shard
-    /// decode (max term) plus the serial cross-shard merge over the host
-    /// ids that actually flowed through union reassembly.
-    pub fn modelled_decode(&self, cost: &CostModel) -> netsim::time::SimTime {
-        cost.sharded_decode(&self.decode_bits, self.merged_bits)
-    }
-}
-
-/// A [`StateView`] router over any underlying view: pointer sets are
-/// decoded per owning shard and reassembled deterministically; host reads
-/// route to the owning shard. Counters are [`obsplane::Counter`]s so the
-/// router stays `Sync` over `Sync` views (the query plane's worker pool
-/// relies on it); [`ShardedView::fanout`] assembles the [`ShardFanout`]
-/// thin view from them on demand.
-pub struct ShardedView<'a, V: StateView> {
-    inner: &'a V,
-    dir: &'a ShardedDirectory,
-    decode_bits: Vec<Counter>,
-    host_reads: Vec<Counter>,
-    merges: Counter,
-    merged_bits: Counter,
-}
-
-impl<'a, V: StateView> ShardedView<'a, V> {
-    pub fn new(inner: &'a V, dir: &'a ShardedDirectory) -> Self {
-        let n = dir.n_shards();
-        ShardedView {
-            inner,
-            dir,
-            decode_bits: (0..n).map(|_| Counter::new()).collect(),
-            host_reads: (0..n).map(|_| Counter::new()).collect(),
-            merges: Counter::new(),
-            merged_bits: Counter::new(),
-        }
-    }
-
-    /// Snapshot of the fan-out counters.
-    pub fn fanout(&self) -> ShardFanout {
-        ShardFanout {
-            decode_bits: self.decode_bits.iter().map(|a| a.get()).collect(),
-            host_reads: self.host_reads.iter().map(|a| a.get()).collect(),
-            merges: self.merges.get(),
-            merged_bits: self.merged_bits.get(),
-        }
-    }
-
-    /// Snapshot of the fan-out counters, zeroing them in the same pass.
-    /// This is the scratch-reuse contract of the work-stealing query
-    /// plane: one router is built per worker per chunk and drained
-    /// between queries, so per-query fan-out still comes out while the
-    /// counter vectors are allocated once per chunk instead of once per
-    /// query.
-    pub fn take_fanout(&self) -> ShardFanout {
-        ShardFanout {
-            decode_bits: self.decode_bits.iter().map(|a| a.take()).collect(),
-            host_reads: self.host_reads.iter().map(|a| a.take()).collect(),
-            merges: self.merges.take(),
-            merged_bits: self.merged_bits.take(),
-        }
-    }
-
-    fn note_host_read(&self, host: NodeId) {
-        self.host_reads[self.dir.owner_of(host)].inc();
-    }
-}
-
-impl<V: StateView> StateView for ShardedView<'_, V> {
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        let full = self.inner.pointer_union(switch, range)?;
-        if self.dir.n_shards() == 1 {
-            self.decode_bits[0].add(full.count() as u64);
-            return Some(full);
-        }
-        // Fan the decode out: every shard takes the slice of `full` under
-        // its slot mask. The masks partition the directory's slot range,
-        // so reassembling (ORing) the slices provably reproduces `full`
-        // byte-for-byte — verdicts cannot depend on N, and the hot path
-        // therefore only *counts* each shard's slice (no per-shard
-        // allocation) and returns `full` as the reassembled union. The
-        // partition-equality itself is pinned by the DirectoryShard
-        // tests (`shards_partition_hosts_and_slots`) and checked cheaply
-        // here: the per-shard counts must sum to the whole union.
-        let mut total = 0u64;
-        for shard in self.dir.shards() {
-            let ones = shard.count_owned(&full) as u64;
-            if ones > 0 {
-                self.decode_bits[shard.id()].add(ones);
-                total += ones;
-            }
-        }
-        self.merges.inc();
-        self.merged_bits.add(total);
-        debug_assert_eq!(
-            total,
-            full.count() as u64,
-            "shard slot masks must partition the directory range"
-        );
-        Some(full)
-    }
-
-    fn pointer_contains_exact(
-        &self,
-        switch: NodeId,
-        addr: u64,
-        epoch: u64,
-    ) -> Option<Option<bool>> {
-        // The shard owning the probed address's slot answers the probe.
-        if let Some(s) = self.dir.owner_of_addr(addr) {
-            self.decode_bits[s].inc();
-        }
-        self.inner.pointer_contains_exact(switch, addr, epoch)
-    }
-
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.note_host_read(host);
-        self.inner.store_len(host)
-    }
-
-    fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
-        self.note_host_read(host);
-        self.inner.record(host, flow)
-    }
-
-    fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord> {
-        self.note_host_read(host);
-        self.inner.flows_matching(host, switch, range)
-    }
-
-    fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
-        self.note_host_read(host);
-        self.inner.top_k_through(host, switch, k)
-    }
-
-    fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)> {
-        self.note_host_read(host);
-        self.inner.sizes_by_link(host, switch)
-    }
-
-    fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {
-        self.note_host_read(host);
-        self.inner.first_trigger_for(host, flow)
-    }
-}
-
 // ----------------------------------------------------------------------
 // Shard backends: one serving surface per directory shard, local or
 // remote.
 // ----------------------------------------------------------------------
 
-/// One directory shard's serving surface. [`ShardedView`] routes over
-/// in-process state it can reach by reference; this trait is the same
-/// contract with the *reach* abstracted away, so a router can run over
-/// shard instances living behind a wire (`wireplane`'s shard servers)
-/// exactly as it runs over local slices — the verdict-equality argument
-/// is shared.
+/// One directory shard's serving surface, with the *reach* abstracted
+/// away: [`BackendRouter`] runs over shard instances living behind a wire
+/// (`wireplane`'s shard servers) exactly as it runs over local slices —
+/// the verdict-equality argument is shared.
 ///
 /// The wave methods mirror [`StateView`]'s batched forms: one call per
 /// query wave per shard, which is what lets a remote backend carry a
@@ -525,14 +327,22 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
     }
 }
 
-/// Cumulative routing counters a [`BackendRouter`] keeps on top of the
-/// per-shard [`ShardFanout`]: how many backend calls it issued (each a
-/// wire RPC for a remote backend) and how many *rounds* of latency those
-/// cost (a fan-out to several shards counts one round — the requests
-/// overlap).
+/// Cumulative routing counters of a [`BackendRouter`]: the per-shard
+/// fan-out (who decoded and answered what), how many backend calls it
+/// issued (each a wire RPC for a remote backend) and how many *rounds* of
+/// latency those cost (a fan-out to several shards counts one round — the
+/// requests overlap).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterCounters {
-    pub fanout: ShardFanout,
+    /// Pointer bits decoded per shard (the parallelizable work).
+    pub decode_bits: Vec<u64>,
+    /// Host-store reads routed to each shard.
+    pub host_reads: Vec<u64>,
+    /// Cross-shard merges the router performed (one per reassembled
+    /// pointer union when N > 1).
+    pub merges: u64,
+    /// Host ids flowing through those merges (the serial merge work).
+    pub merged_bits: u64,
     /// Backend calls issued (≡ RPCs for a remote backend).
     pub rpcs: u64,
     /// The subset of `rpcs` issued for host-wave fan-outs — the term
@@ -550,6 +360,36 @@ pub struct RouterCounters {
     /// point read, however many shards it fanned out to (the round-trip
     /// count under the concurrent-fan-out interpretation above).
     pub rounds: u64,
+}
+
+impl RouterCounters {
+    /// Folds another query's counters into this accumulator, growing the
+    /// per-shard vectors to the wider of the two.
+    pub fn absorb(&mut self, other: &RouterCounters) {
+        if self.decode_bits.len() < other.decode_bits.len() {
+            self.decode_bits.resize(other.decode_bits.len(), 0);
+            self.host_reads.resize(other.host_reads.len(), 0);
+        }
+        for (a, b) in self.decode_bits.iter_mut().zip(&other.decode_bits) {
+            *a += b;
+        }
+        for (a, b) in self.host_reads.iter_mut().zip(&other.host_reads) {
+            *a += b;
+        }
+        self.merges += other.merges;
+        self.merged_bits += other.merged_bits;
+        self.rpcs += other.rpcs;
+        self.wave_rpcs += other.wave_rpcs;
+        self.wave_rounds += other.wave_rounds;
+        self.rounds += other.rounds;
+    }
+
+    /// Modelled decode wall time under `cost`: concurrent per-shard
+    /// decode (max term) plus the serial cross-shard merge over the host
+    /// ids that actually flowed through union reassembly.
+    pub fn modelled_decode(&self, cost: &CostModel) -> netsim::time::SimTime {
+        cost.sharded_decode(&self.decode_bits, self.merged_bits)
+    }
 }
 
 /// A [`StateView`] router over per-shard backends, local or remote.
@@ -614,12 +454,10 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
     /// Snapshot of the routing counters.
     pub fn counters(&self) -> RouterCounters {
         RouterCounters {
-            fanout: ShardFanout {
-                decode_bits: self.decode_bits.iter().map(|a| a.get()).collect(),
-                host_reads: self.host_reads.iter().map(|a| a.get()).collect(),
-                merges: self.merges.get(),
-                merged_bits: self.merged_bits.get(),
-            },
+            decode_bits: self.decode_bits.iter().map(|a| a.get()).collect(),
+            host_reads: self.host_reads.iter().map(|a| a.get()).collect(),
+            merges: self.merges.get(),
+            merged_bits: self.merged_bits.get(),
             rpcs: self.rpcs.get(),
             wave_rpcs: self.wave_rpcs.get(),
             wave_rounds: self.wave_rounds.get(),
@@ -812,10 +650,13 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
     }
 }
 
-/// The thin router front-end over a live [`Analyzer`]: executes any
-/// [`QueryRequest`] through a [`ShardedView`] of the live state, so the
-/// verdict is bit-identical to the unsharded analyzer's at any shard
-/// count, while the per-shard fan-out is recorded and priced.
+/// The in-process parity fixture: a [`BackendRouter`] over one
+/// [`LocalBackend`] per shard of a live [`Analyzer`]. Verdicts are
+/// bit-identical to the unsharded analyzer's at any shard count, and the
+/// router's counters are what the wire front-end's must equal on the
+/// same requests. Each backend decodes the full union before masking
+/// its slice, so a pointer read costs one decode per shard — fine for a
+/// fixture that only tests and the shard ablation run.
 pub struct ShardedAnalyzer<'a> {
     analyzer: &'a Analyzer,
     dir: ShardedDirectory,
@@ -849,16 +690,21 @@ impl<'a> ShardedAnalyzer<'a> {
     }
 
     /// Runs `req` and additionally returns the execution trace and the
-    /// per-shard fan-out accounting.
+    /// router's counters for this one query.
     pub fn execute_traced(
         &self,
         req: &QueryRequest,
-    ) -> (QueryResponse, ExecutionTrace, ShardFanout) {
+    ) -> (QueryResponse, ExecutionTrace, RouterCounters) {
         let live = self.analyzer.live_view();
-        let view = ShardedView::new(&live, &self.dir);
-        let (resp, trace) = QueryExecutor::new(self.analyzer.ctx(), &view).execute_traced(req);
-        let fanout = view.fanout();
-        (resp, trace, fanout)
+        let backends: Vec<LocalBackend<'_, _>> = self
+            .dir
+            .shards()
+            .iter()
+            .map(|shard| LocalBackend::new(shard, &live))
+            .collect();
+        let router = BackendRouter::new(&backends, &self.dir);
+        let (resp, trace) = QueryExecutor::new(self.analyzer.ctx(), &router).execute_traced(req);
+        (resp, trace, router.counters())
     }
 }
 

@@ -62,7 +62,6 @@ fn run_horizon(dir_shards: usize, budget: usize) -> (Vec<u64>, Vec<u64>, usize) 
                 workers: 4,
                 shards: 8,
                 directory_shards: dir_shards,
-                cache_capacity: 4096,
                 retention: Some(RetentionPolicy::budgeted(12, budget)),
             },
             result_cache_capacity: 1024,
@@ -193,7 +192,6 @@ fn run_budget_only(dir_shards: usize, budget: usize) -> (Vec<u64>, usize) {
                 workers: 4,
                 shards: 8,
                 directory_shards: dir_shards,
-                cache_capacity: 4096,
                 retention: Some(RetentionPolicy::budgeted(u64::MAX, budget)),
             },
             result_cache_capacity: 1024,

@@ -11,7 +11,7 @@
 
 use netsim::prelude::*;
 use switchpointer::query::QueryRequest;
-use switchpointer::shard::{ShardFanout, ShardedAnalyzer};
+use switchpointer::shard::{RouterCounters, ShardedAnalyzer};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
@@ -126,7 +126,7 @@ pub fn shard() -> Vec<FigureData> {
     let mut decode_at: Vec<(usize, u64)> = Vec::new();
     for n_shards in [1usize, 2, 4, 8] {
         let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
-        let mut fanout = ShardFanout::new(n_shards);
+        let mut fanout = RouterCounters::default();
         let mut decode_total_ns = 0u64;
         for (i, req) in reqs.iter().enumerate() {
             let (resp, _trace, f) = sharded.execute_traced(req);

@@ -69,7 +69,6 @@ pub fn stream() -> Vec<FigureData> {
                 workers: 8,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,

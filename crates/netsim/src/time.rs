@@ -3,8 +3,8 @@
 //! All simulator state advances on a single virtual clock measured in
 //! nanoseconds. Per-node *local* clocks (which SwitchPointer's epoch
 //! machinery reads) are derived by adding a bounded per-node offset — see
-//! [`crate::node::Node::clock_offset`] and the paper's §4.2.1 asynchrony
-//! handling.
+//! [`Simulator::clock_offset`](crate::engine::Simulator::clock_offset)
+//! and the paper's §4.2.1 asynchrony handling.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};

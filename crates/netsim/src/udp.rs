@@ -4,7 +4,7 @@
 //! blast for a fixed duration (1 ms bursts in Fig. 2, 400 µs in Fig. 3,
 //! 10 ms in Fig. 4). A [`UdpSource`] emits back-to-back packets at a
 //! configured rate between `start` and `start + duration`; the engine polls
-//! it via [`UdpSource::next_send`].
+//! it via [`UdpSource::emit`], which returns the next send instant.
 
 use crate::packet::{FlowMeta, Priority};
 use crate::time::{serialization_time, SimTime};

@@ -4,7 +4,7 @@
 //! mixes drawn from heavy-tailed size distributions. This module provides
 //! the two canonical empirical distributions from the datacenter
 //! literature (web-search, from the DCTCP measurement study the paper
-//! cites as [9]; data-mining, VL2-style) plus Poisson flow arrivals over a
+//! cites as \[9\]; data-mining, VL2-style) plus Poisson flow arrivals over a
 //! random traffic matrix — enough to put realistic background load behind
 //! any experiment.
 //!

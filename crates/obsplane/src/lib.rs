@@ -1,14 +1,13 @@
 //! # obsplane — the observability plane
 //!
 //! One std-only metrics layer shared by every plane in the workspace,
-//! replacing the ad-hoc counter structs (`ShardFanout`,
-//! `RouterCounters`, `QueryPlaneStats`, `StreamStats`) that each crate
-//! grew independently. Three primitives:
+//! replacing the ad-hoc counter structs each crate grew independently.
+//! Three primitives:
 //!
 //! * **[`Counter`] / [`Gauge`]** — relaxed atomics behind `Arc`
 //!   handles; the planes resolve handles once at construction and bump
-//!   them lock-free on the hot path. The legacy stats structs survive
-//!   as *thin views* assembled from these on demand.
+//!   them lock-free on the hot path. The stream plane's `StreamStats`
+//!   survives as a *thin view* assembled from these on demand.
 //! * **[`Histogram`]** — HDR-style log-bucketed latency histograms
 //!   (`grid_bits` sub-bucket precision, relative quantile error
 //!   ≤ `2^-grid_bits`) with mergeable [`HistogramSnapshot`]s and

@@ -40,15 +40,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Current value, resetting the counter to zero in the same atomic
-    /// step. This is what lets a long-lived accumulator (the query
-    /// plane's per-worker fan-out scratch) be drained per query without
-    /// reallocating the counters.
-    #[inline]
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// A signed instantaneous gauge (queue depths, connection counts).

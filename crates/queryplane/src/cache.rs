@@ -4,14 +4,15 @@
 //! latency (≈ 7.5 ms for a single switch — `CostModel::pointer_retrieval`).
 //! Debugging traffic is bursty and repetitive: when an incident fires,
 //! many queries interrogate the *same* switches over the *same* epoch
-//! window. The plane therefore keeps an LRU cache keyed by
+//! window. The pricing model therefore keeps an LRU cache keyed by
 //! `(switch, epoch_lo, epoch_hi)`; a round whose keys are all resident is
 //! charged `CostModel::pointer_cache_hit` instead of a retrieval round.
 //!
-//! The cache is consulted during the plane's **sequential accounting
-//! pass**, in query submission order — never from worker threads — so hit
-//! and miss counts are a pure function of the submitted query sequence, no
-//! matter how many workers executed the batch.
+//! The cache belongs to whoever prices a batch: [`crate::price_batch`]
+//! consults it per retrieval round, in query submission order — never
+//! from worker threads — so hit and miss counts are a pure function of
+//! the submitted query sequence, no matter how many workers executed the
+//! batch.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -80,25 +81,6 @@ impl PointerCache {
         false
     }
 
-    /// Drops every resident key belonging to one of `switches` — the
-    /// precise invalidation an incremental snapshot delta triggers: a
-    /// patched switch's cached windows are stale, everyone else's remain
-    /// valid. Returns the number of keys dropped.
-    pub fn invalidate_switches(&mut self, switches: &[NodeId]) -> usize {
-        let mut dropped = 0usize;
-        for &sw in switches {
-            let stale: Vec<PointerKey> =
-                self.entries.keys().filter(|k| k.0 == sw).copied().collect();
-            for key in stale {
-                if let Some(stamp) = self.entries.remove(&key) {
-                    self.by_stamp.remove(&stamp);
-                    dropped += 1;
-                }
-            }
-        }
-        dropped
-    }
-
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -153,18 +135,6 @@ mod tests {
         assert!(c.touch(k(1)), "1 was refreshed and must survive");
         assert!(!c.touch(k(2)), "2 was evicted");
         assert_eq!(c.evictions(), 2); // k3 evicted k2; k2's re-insert evicted one more
-    }
-
-    #[test]
-    fn switch_invalidation_is_precise() {
-        let mut c = PointerCache::new(8);
-        c.touch((NodeId(1), 0, 5));
-        c.touch((NodeId(1), 0, 6));
-        c.touch((NodeId(2), 0, 5));
-        assert_eq!(c.invalidate_switches(&[NodeId(1)]), 2);
-        assert_eq!(c.len(), 1);
-        assert!(c.touch((NodeId(2), 0, 5)), "untouched switch stays warm");
-        assert!(!c.touch((NodeId(1), 0, 5)), "invalidated key re-misses");
     }
 
     #[test]

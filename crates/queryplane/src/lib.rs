@@ -29,27 +29,26 @@
 //!    chunk size, and steal schedule. Snapshots are published through an
 //!    epoch-stamped [`SnapshotSlot`], so a refresh installs new state
 //!    without quiescing in-flight batches.
-//! 3. **Pointer cache** — an epoch-keyed LRU over `(switch, epoch window)`
-//!    retrieval keys. Replayed over each query's
-//!    [`ExecutionTrace`](switchpointer::query::ExecutionTrace) in
-//!    submission order, it converts repeated retrieval rounds (the
-//!    dominant modelled term, ≈ 7.5 ms each) into ≈ 5 µs cache hits.
-//! 4. **Batched host fan-out** — all queries of a batch destined for the
-//!    same host coalesce into one modelled RPC:
-//!    [`CostModel::batched_query_wave`] pays the serialized per-host
-//!    connection initiation (the Fig. 12-dominant term) once per host per
-//!    batch instead of once per (query, host) pair.
-//! 5. **Sharded directory** — with
-//!    [`QueryPlaneConfig::directory_shards`] > 1 the bit → host directory
-//!    is hash-partitioned across analyzer instances
-//!    ([`switchpointer::shard`], DESIGN.md §11): workers execute through
-//!    the shard router (bit-identical answers at any shard count),
-//!    dispatch is keyed by each request's [`home_shard`], and the stats
-//!    report per-shard fan-out plus the modelled concurrent-decode win.
+//! 3. **Sharded directory** — with
+//!    [`QueryPlaneConfig::directory_shards`] > 1 the snapshot's deltas
+//!    report host dirtiness per directory shard ([`switchpointer::shard`],
+//!    DESIGN.md §11) and dispatch is keyed by each request's
+//!    [`home_shard`]. No router sits on the serving path: every worker
+//!    executes straight over the snapshot, so answers are bit-identical
+//!    at any shard count by construction.
+//! 4. **Modelled pricing, off the serving path** — [`price_batch`]
+//!    replays a batch's [`ExecutionTrace`]s, in submission order,
+//!    through a caller-owned epoch-keyed [`PointerCache`] (repeated
+//!    retrieval rounds, ≈ 7.5 ms each, become ≈ 5 µs hits) and coalesces
+//!    all (query, host) contacts into one batched RPC per host
+//!    ([`CostModel::batched_query_wave`](switchpointer::cost::CostModel::batched_query_wave)).
+//!    It is a pure function of the traces and the cache; the figures,
+//!    bench and tests that want modelled numbers call it, and
+//!    [`QueryPlane::execute_batch`] does not.
 //!
-//! The *answers* come straight out of the executors; the cache and
-//! batching only shape the modelled latency accounting — the same
-//! real-answers / calibrated-latency split the sequential analyzer uses.
+//! The *answers* come straight out of the executors; the snapshot's
+//! union memo is the cache that saves real time, and its hit rate is
+//! the `queryplane.union_memo.*` counter pair in the plane's registry.
 //!
 //! ## Quickstart
 //!
@@ -57,7 +56,7 @@
 //! use netsim::prelude::*;
 //! use switchpointer::query::QueryRequest;
 //! use switchpointer::testbed::{Testbed, TestbedConfig};
-//! use queryplane::{QueryPlane, QueryPlaneConfig};
+//! use queryplane::{price_batch, PointerCache, QueryPlane, QueryPlaneConfig};
 //! use telemetry::EpochRange;
 //!
 //! let topo = Topology::chain(3, 2, GBPS);
@@ -71,7 +70,7 @@
 //! tb.sim.run_until(SimTime::from_ms(5));
 //!
 //! let analyzer = tb.analyzer();
-//! let mut plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
+//! let plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
 //! let s2 = tb.node("S2");
 //! let reqs = vec![
 //!     QueryRequest::TopK { switch: s2, k: 10, range: EpochRange { lo: 0, hi: 4 } };
@@ -79,31 +78,31 @@
 //! ];
 //! let outcomes = plane.execute_batch(&reqs);
 //! assert_eq!(outcomes.len(), 8);
-//! // 7 of the 8 identical queries hit the pointer cache.
-//! assert_eq!(plane.stats().pointer_hits, 7);
+//! // Priced afterwards: 7 of the 8 identical queries hit the pointer cache.
+//! let traces: Vec<_> = outcomes.iter().map(|o| &o.trace).collect();
+//! let price = price_batch(analyzer.cost(), &mut PointerCache::new(4096), &traces);
+//! assert_eq!(price.pointer_hits, 7);
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use netsim::packet::NodeId;
 use netsim::routing::RouteTable;
-use netsim::time::SimTime;
 use obsplane::{Counter, MetricsRegistry};
-use switchpointer::cost::BatchedHostLoad;
-use switchpointer::query::{QueryRequest, QueryResponse, TraceDeps, QUERY_CLASS_NAMES};
+use switchpointer::query::{ExecutionTrace, QueryRequest, QueryResponse};
 use switchpointer::retention;
-use switchpointer::shard::{host_shard_of, ShardFanout, ShardedDirectory};
+use switchpointer::shard::{host_shard_of, ShardedDirectory};
 use switchpointer::Analyzer;
 
 mod cache;
 mod pool;
+mod price;
 mod repl;
 mod slot;
 mod snapshot;
 
 pub use cache::{key_of, PointerCache, PointerKey};
 pub use pool::{chunk_size, PoolMetrics, PoolResult, SharedCtx, WorkerPool};
+pub use price::{price_batch, BatchPrice, QueryCost};
 pub use repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
 pub use slot::SnapshotSlot;
 pub use snapshot::{ShardedHostStore, Snapshot, SnapshotDelta};
@@ -121,10 +120,6 @@ pub enum ConfigError {
     /// `directory_shards == 0`: the directory partition needs at least
     /// the single-coordinator layout.
     ZeroDirectoryShards,
-    /// `cache_capacity == 0`: an LRU that can hold nothing would turn
-    /// every retrieval round into a modelled miss forever; an explicit
-    /// zero is a configuration mistake, not a tuning choice.
-    ZeroCacheCapacity,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -135,7 +130,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "shards (per-host record shards) must be >= 1")
             }
             ConfigError::ZeroDirectoryShards => write!(f, "directory_shards must be >= 1"),
-            ConfigError::ZeroCacheCapacity => write!(f, "cache_capacity must be >= 1"),
         }
     }
 }
@@ -152,10 +146,9 @@ pub struct QueryPlaneConfig {
     /// Directory shards: analyzer instances the bit→host directory is
     /// hash-partitioned across. 1 = the single-coordinator layout.
     /// Verdicts are identical at any value (property-pinned); only the
-    /// modelled decode cost and the dispatch affinity change.
+    /// delta's per-shard dirtiness report and the dispatch affinity
+    /// change.
     pub directory_shards: usize,
-    /// Pointer-cache capacity in `(switch, epoch window)` keys.
-    pub cache_capacity: usize,
     /// Retention policy for [`QueryPlane::sweep_retention`]: a trailing
     /// epoch horizon plus a per-directory-shard flow-record budget. `None`
     /// disables GC — the snapshot accretes state forever (the pre-PR-4
@@ -169,7 +162,6 @@ impl Default for QueryPlaneConfig {
             workers: 4,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         }
     }
@@ -177,7 +169,7 @@ impl Default for QueryPlaneConfig {
 
 impl QueryPlaneConfig {
     /// Rejects degenerate sizings with a typed [`ConfigError`] before any
-    /// thread is spawned or capacity allocated. [`QueryPlane::try_from_analyzer`]
+    /// thread is spawned. [`QueryPlane::try_from_analyzer`]
     /// (and everything layered over it — the stream plane, the wire
     /// front-end) calls this at the boundary.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -189,9 +181,6 @@ impl QueryPlaneConfig {
         }
         if self.directory_shards == 0 {
             return Err(ConfigError::ZeroDirectoryShards);
-        }
-        if self.cache_capacity == 0 {
-            return Err(ConfigError::ZeroCacheCapacity);
         }
         Ok(())
     }
@@ -213,159 +202,14 @@ pub fn home_shard(req: &QueryRequest, n_shards: usize) -> usize {
     host_shard_of(node, n_shards)
 }
 
-/// Modelled cost of one query, sequential versus under the plane.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryCost {
-    /// Pointer retrieval + host query waves when executed alone (no cache,
-    /// no batching) — the sequential analyzer's service latency.
-    pub sequential: SimTime,
-    /// The same work under the plane: cache-served retrieval rounds plus
-    /// this query's share of the batched fan-out wave.
-    pub batched: SimTime,
-    /// Pointer keys served from the cache / retrieved from switches.
-    pub pointer_hits: u32,
-    pub pointer_misses: u32,
-}
-
-/// One scheduled query's result: the (bit-identical) response plus the
-/// plane's cost accounting for it and the exact state the answer depended
-/// on (what the stream plane's result cache keys invalidation by).
+/// One scheduled query's result: the (bit-identical) response plus its
+/// execution trace — the exact state the answer depended on (what the
+/// stream plane's result cache keys invalidation by) and the retrieval
+/// rounds and host waves [`price_batch`] prices.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     pub response: QueryResponse,
-    pub cost: QueryCost,
-    pub deps: TraceDeps,
-}
-
-/// Cumulative service counters — a *thin view* assembled on demand from
-/// the plane's [`MetricsRegistry`] counters (`queryplane.*`), kept as a
-/// plain struct so existing callers and tests read it unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryPlaneStats {
-    pub queries: u64,
-    pub batches: u64,
-    /// Pointer keys served from / missing the LRU cache.
-    pub pointer_hits: u64,
-    pub pointer_misses: u64,
-    /// Retrieval rounds fully served from cache (the ≈ 7.5 ms skips).
-    pub rounds_skipped: u64,
-    /// Host RPCs actually issued after coalescing.
-    pub host_rpcs_issued: u64,
-    /// (query, host) request pairs before coalescing.
-    pub host_requests: u64,
-    /// Cross-shard merges the directory router performed (0 with a
-    /// single-shard directory).
-    pub cross_shard_merges: u64,
-    /// Σ modelled pointer-decode wall time under the configured directory
-    /// sharding (per-shard decode runs concurrently; the merge is serial).
-    pub modelled_decode_total: SimTime,
-    /// Σ modelled decode wall time the same queries would cost through a
-    /// single-shard directory — the counterfactual the shard ablation
-    /// compares against.
-    pub modelled_decode_unsharded: SimTime,
-    /// Σ sequential service latency of all queries.
-    pub sequential_total: SimTime,
-    /// Σ modelled service latency under caching + batching.
-    pub batched_total: SimTime,
-}
-
-impl QueryPlaneStats {
-    /// Fraction of pointer lookups served from cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.pointer_hits + self.pointer_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pointer_hits as f64 / total as f64
-        }
-    }
-
-    /// Modelled speedup of the plane over sequential execution.
-    pub fn modelled_speedup(&self) -> f64 {
-        if self.batched_total.as_ns() == 0 {
-            1.0
-        } else {
-            self.sequential_total.as_ns() as f64 / self.batched_total.as_ns() as f64
-        }
-    }
-
-    /// Host RPCs avoided by fan-out coalescing.
-    pub fn rpcs_saved(&self) -> u64 {
-        self.host_requests - self.host_rpcs_issued
-    }
-
-    /// Modelled decode speedup of the configured directory sharding over
-    /// the single-coordinator counterfactual.
-    pub fn decode_speedup(&self) -> f64 {
-        if self.modelled_decode_total.as_ns() == 0 {
-            1.0
-        } else {
-            self.modelled_decode_unsharded.as_ns() as f64
-                / self.modelled_decode_total.as_ns() as f64
-        }
-    }
-}
-
-/// The plane's registry handles, resolved once at construction so the
-/// accounting pass bumps counters without any name lookups. The legacy
-/// [`QueryPlaneStats`] / [`ShardFanout`] accessors assemble their thin
-/// views from these.
-struct QpMetrics {
-    queries: Arc<Counter>,
-    batches: Arc<Counter>,
-    pointer_hits: Arc<Counter>,
-    pointer_misses: Arc<Counter>,
-    rounds_skipped: Arc<Counter>,
-    host_rpcs_issued: Arc<Counter>,
-    host_requests: Arc<Counter>,
-    cross_shard_merges: Arc<Counter>,
-    modelled_decode_total_ns: Arc<Counter>,
-    modelled_decode_unsharded_ns: Arc<Counter>,
-    sequential_total_ns: Arc<Counter>,
-    batched_total_ns: Arc<Counter>,
-    fanout_merges: Arc<Counter>,
-    fanout_merged_bits: Arc<Counter>,
-    /// Per directory shard.
-    fanout_decode_bits: Vec<Arc<Counter>>,
-    fanout_host_reads: Vec<Arc<Counter>>,
-    /// Per query class ([`QUERY_CLASS_NAMES`] order).
-    cache_hits_by_class: Vec<Arc<Counter>>,
-    cache_misses_by_class: Vec<Arc<Counter>>,
-}
-
-impl QpMetrics {
-    fn new(reg: &MetricsRegistry, dir_shards: usize) -> QpMetrics {
-        QpMetrics {
-            queries: reg.counter("queryplane.queries"),
-            batches: reg.counter("queryplane.batches"),
-            pointer_hits: reg.counter("queryplane.pointer_hits"),
-            pointer_misses: reg.counter("queryplane.pointer_misses"),
-            rounds_skipped: reg.counter("queryplane.rounds_skipped"),
-            host_rpcs_issued: reg.counter("queryplane.host_rpcs_issued"),
-            host_requests: reg.counter("queryplane.host_requests"),
-            cross_shard_merges: reg.counter("queryplane.cross_shard_merges"),
-            modelled_decode_total_ns: reg.counter("queryplane.modelled_decode_total_ns"),
-            modelled_decode_unsharded_ns: reg.counter("queryplane.modelled_decode_unsharded_ns"),
-            sequential_total_ns: reg.counter("queryplane.sequential_total_ns"),
-            batched_total_ns: reg.counter("queryplane.batched_total_ns"),
-            fanout_merges: reg.counter("queryplane.fanout.merges"),
-            fanout_merged_bits: reg.counter("queryplane.fanout.merged_bits"),
-            fanout_decode_bits: (0..dir_shards)
-                .map(|s| reg.counter(&format!("queryplane.fanout.decode_bits.shard{s}")))
-                .collect(),
-            fanout_host_reads: (0..dir_shards)
-                .map(|s| reg.counter(&format!("queryplane.fanout.host_reads.shard{s}")))
-                .collect(),
-            cache_hits_by_class: QUERY_CLASS_NAMES
-                .iter()
-                .map(|c| reg.counter(&format!("queryplane.cache_hits.{c}")))
-                .collect(),
-            cache_misses_by_class: QUERY_CLASS_NAMES
-                .iter()
-                .map(|c| reg.counter(&format!("queryplane.cache_misses.{c}")))
-                .collect(),
-        }
-    }
+    pub trace: ExecutionTrace,
 }
 
 /// The concurrent query service front-end.
@@ -382,10 +226,9 @@ pub struct QueryPlane {
     /// baselines instead of cloning the current snapshot.
     spare: Option<Arc<Snapshot>>,
     pool: WorkerPool,
-    cache: PointerCache,
-    /// Registry-backed counters (service totals + cumulative per-shard
-    /// fan-out across every executed query).
-    m: QpMetrics,
+    /// `queryplane.queries` / `queryplane.batches` in the registry.
+    queries: Arc<Counter>,
+    batches: Arc<Counter>,
 }
 
 impl QueryPlane {
@@ -396,8 +239,8 @@ impl QueryPlane {
     /// [`QueryPlane::refresh_delta`] (incremental) after running the
     /// simulation further.
     ///
-    /// Panics on a degenerate config (zero workers / shards / cache
-    /// capacity) with the typed [`ConfigError`] message; use
+    /// Panics on a degenerate config (zero workers / shards) with the
+    /// typed [`ConfigError`] message; use
     /// [`QueryPlane::try_from_analyzer`] to handle it as a value.
     pub fn from_analyzer(analyzer: &Analyzer, cfg: QueryPlaneConfig) -> Self {
         Self::try_from_analyzer(analyzer, cfg)
@@ -405,9 +248,9 @@ impl QueryPlane {
     }
 
     /// [`QueryPlane::from_analyzer`] with the config validated up front:
-    /// a zero worker pool, zero record/directory shards or a
-    /// zero-capacity pointer cache is rejected here, as a typed
-    /// [`ConfigError`], instead of panicking deep in the pool.
+    /// a zero worker pool or zero record/directory shards is rejected
+    /// here, as a typed [`ConfigError`], instead of panicking deep in the
+    /// pool.
     pub fn try_from_analyzer(
         analyzer: &Analyzer,
         cfg: QueryPlaneConfig,
@@ -415,8 +258,13 @@ impl QueryPlane {
         cfg.validate()?;
         let dir_shards = cfg.directory_shards;
         let metrics = Arc::new(MetricsRegistry::new());
-        let m = QpMetrics::new(&metrics, dir_shards);
         let pool = WorkerPool::with_metrics(cfg.workers, &metrics);
+        let mut snapshot = Snapshot::capture_with(analyzer, cfg.shards, dir_shards);
+        snapshot.count_memo_into(&metrics);
+        let (queries, batches) = (
+            metrics.counter("queryplane.queries"),
+            metrics.counter("queryplane.batches"),
+        );
         Ok(QueryPlane {
             ctx: Arc::new(SharedCtx::new(
                 analyzer.topo().clone(),
@@ -432,45 +280,32 @@ impl QueryPlane {
                 metrics,
             )),
             cfg,
-            slot: SnapshotSlot::new(Arc::new(Snapshot::capture_with(
-                analyzer, cfg.shards, dir_shards,
-            ))),
+            slot: SnapshotSlot::new(Arc::new(snapshot)),
             spare: None,
             pool,
-            cache: PointerCache::new(cfg.cache_capacity),
-            m,
+            queries,
+            batches,
         })
     }
 
     /// Re-freezes the deployment state from scratch (e.g. after more
-    /// simulated time) and publishes it under a new epoch. The pointer
-    /// cache is cleared — cached windows may have rotated — but
-    /// cumulative stats are kept. In-flight readers keep their loaded
-    /// snapshot; the old published state becomes the spare write buffer
-    /// for the next incremental refresh.
+    /// simulated time) and publishes it under a new epoch. In-flight
+    /// readers keep their loaded snapshot; the old published state becomes
+    /// the spare write buffer for the next incremental refresh.
     pub fn refresh(&mut self, analyzer: &Analyzer) {
         let old = self.slot.load().0;
-        self.slot.install(Arc::new(Snapshot::capture_with(
-            analyzer,
-            self.cfg.shards,
-            self.cfg.directory_shards.max(1),
-        )));
+        let mut snapshot =
+            Snapshot::capture_with(analyzer, self.cfg.shards, self.cfg.directory_shards);
+        snapshot.count_memo_into(self.metrics());
+        self.slot.install(Arc::new(snapshot));
         self.spare = Some(old);
-        self.cache = PointerCache::new(self.cfg.cache_capacity);
     }
 
     /// Incrementally re-freezes the deployment state, copying only what
-    /// changed since the last freeze (see [`Snapshot::apply_delta`]). The
-    /// modelled pointer cache is invalidated *precisely* for pointer
-    /// state: only keys of switches the delta touched are dropped — with
-    /// one exception. When the delta carries eviction-forced full rescans
-    /// (`SnapshotDelta::rescanned_hosts`), the whole cache is cleared:
-    /// cached `(switch, window)` keys whose decoded fan-out reaches the
-    /// evicting stores would otherwise keep billing retrieval rounds as
-    /// hits against host state that no longer exists, and the per-flow
-    /// journal that would let us invalidate precisely was itself
-    /// invalidated by the eviction. Returns the delta summary (dirty
-    /// sets, rescans, copy-work counters).
+    /// changed since the last freeze (see [`Snapshot::apply_delta`]; the
+    /// snapshot's union memo drops exactly the dirty switches' entries).
+    /// Returns the delta summary (dirty sets, rescans, copy-work
+    /// counters).
     ///
     /// Publication is quiesce-free: the refreshed snapshot is installed
     /// into the epoch-stamped [`SnapshotSlot`] while any in-flight batch
@@ -480,7 +315,7 @@ impl QueryPlane {
     /// baselines (`apply_delta` is baseline-relative, so the result is
     /// bit-identical to a fresh capture; the dirty sets it reports are a
     /// conservative superset covering both windows, which only widens
-    /// cache invalidation). If something still holds the spare (an
+    /// invalidation). If something still holds the spare (an
     /// unusually long-lived reader), the plane falls back to cloning the
     /// current snapshot rather than waiting.
     pub fn refresh_delta(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
@@ -510,11 +345,6 @@ impl QueryPlane {
             None => superset,
         };
         self.spare = Some(retired);
-        if delta.rescanned_hosts.is_empty() {
-            self.cache.invalidate_switches(&delta.dirty_switches);
-        } else {
-            self.cache = PointerCache::new(self.cfg.cache_capacity);
-        }
         delta
     }
 
@@ -541,7 +371,7 @@ impl QueryPlane {
         Some(retention::sweep(
             analyzer,
             policy,
-            self.cfg.directory_shards.max(1),
+            self.cfg.directory_shards,
             pins,
         ))
     }
@@ -570,62 +400,28 @@ impl QueryPlane {
         self.cfg
     }
 
-    /// The plane's metric registry: every `queryplane.*` counter, the
-    /// per-class `queryplane.exec_ns.*` latency histograms the workers
-    /// record, and the span tracer. The stream plane shares this
+    /// The plane's metric registry: the `queryplane.*` counters (union
+    /// memo hits and misses included), the per-class
+    /// `queryplane.exec_ns.*` latency histograms the workers record, and
+    /// the span tracer. The stream plane shares this
     /// registry; snapshots of it are what a wire scrape ships.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.ctx.metrics
     }
 
-    /// Cumulative counters since construction (a thin view assembled
-    /// from the registry).
-    pub fn stats(&self) -> QueryPlaneStats {
-        QueryPlaneStats {
-            queries: self.m.queries.get(),
-            batches: self.m.batches.get(),
-            pointer_hits: self.m.pointer_hits.get(),
-            pointer_misses: self.m.pointer_misses.get(),
-            rounds_skipped: self.m.rounds_skipped.get(),
-            host_rpcs_issued: self.m.host_rpcs_issued.get(),
-            host_requests: self.m.host_requests.get(),
-            cross_shard_merges: self.m.cross_shard_merges.get(),
-            modelled_decode_total: SimTime(self.m.modelled_decode_total_ns.get()),
-            modelled_decode_unsharded: SimTime(self.m.modelled_decode_unsharded_ns.get()),
-            sequential_total: SimTime(self.m.sequential_total_ns.get()),
-            batched_total: SimTime(self.m.batched_total_ns.get()),
-        }
-    }
-
-    /// Cumulative per-shard fan-out: decode bits and host reads per
-    /// directory shard, plus the cross-shard merge volume (a thin view
-    /// assembled from the registry).
-    pub fn fanout(&self) -> ShardFanout {
-        ShardFanout {
-            decode_bits: self.m.fanout_decode_bits.iter().map(|c| c.get()).collect(),
-            host_reads: self.m.fanout_host_reads.iter().map(|c| c.get()).collect(),
-            merges: self.m.fanout_merges.get(),
-            merged_bits: self.m.fanout_merged_bits.get(),
-        }
-    }
-
     /// Convenience: a single query (a batch of one).
-    pub fn execute(&mut self, req: QueryRequest) -> QueryOutcome {
+    pub fn execute(&self, req: QueryRequest) -> QueryOutcome {
         self.execute_batch(std::slice::from_ref(&req))
             .pop()
             .expect("one request in, one outcome out")
     }
 
     /// Executes a batch of queries over the worker pool and returns
-    /// outcomes in submission order.
-    ///
-    /// Responses are computed concurrently but are bit-identical to
-    /// running each query alone on the sequential analyzer over the same
-    /// state. Cost accounting happens afterwards in one sequential pass
-    /// over the execution traces, in submission order: the pointer cache
-    /// is consulted per retrieval round, and all (query, host) contacts of
-    /// the batch coalesce into one batched fan-out wave per host.
-    pub fn execute_batch(&mut self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+    /// outcomes in submission order. Responses are computed concurrently
+    /// but are bit-identical to running each query alone on the
+    /// sequential analyzer over the same state; outcomes depend only on
+    /// the published snapshot and the requests.
+    pub fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
@@ -636,151 +432,16 @@ impl QueryPlane {
         // landing mid-batch serves later batches, never this one.
         let snapshot = self.slot.load().0;
         let n_dir = self.ctx.dir.n_shards();
-        let results = if n_dir > 1 {
-            let keys: Vec<usize> = requests.iter().map(|r| home_shard(r, n_dir)).collect();
-            self.pool
-                .run_keyed(&self.ctx, &snapshot, requests, Some(&keys))
-        } else {
-            self.pool.run(&self.ctx, &snapshot, requests)
-        };
-        self.account(results)
-    }
-
-    /// The sequential accounting pass: pointer-cache replay, batched
-    /// fan-out coalescing, and per-shard decode pricing over the batch's
-    /// execution traces.
-    fn account(&mut self, results: Vec<PoolResult>) -> Vec<QueryOutcome> {
-        self.m.batches.inc();
-
-        /// Per-query accounting scratch.
-        struct PerQuery {
-            sequential: SimTime,
-            batched_pointer: SimTime,
-            hits: u32,
-            misses: u32,
-            requests: u64,
-        }
-
-        // Coalesced per-host load across the whole batch. BTreeMap keeps
-        // the host order deterministic.
-        let mut per_host: BTreeMap<NodeId, BatchedHostLoad> = BTreeMap::new();
-        let mut per_query: Vec<PerQuery> = Vec::with_capacity(results.len());
-        let mut batched_pointer_total = SimTime::ZERO;
-
-        for (resp, trace, fanout) in &results {
-            // Per-shard decode pricing: shards decode their slices
-            // concurrently (max term), the router pays the serial merge;
-            // the counterfactual bills the same bits through one shard.
-            for (s, &bits) in fanout.decode_bits.iter().enumerate() {
-                self.m.fanout_decode_bits[s].add(bits);
-            }
-            for (s, &reads) in fanout.host_reads.iter().enumerate() {
-                self.m.fanout_host_reads[s].add(reads);
-            }
-            self.m.fanout_merges.add(fanout.merges);
-            self.m.fanout_merged_bits.add(fanout.merged_bits);
-            self.m.cross_shard_merges.add(fanout.merges);
-            self.m
-                .modelled_decode_total_ns
-                .add(fanout.modelled_decode(&self.ctx.cost).as_ns());
-            let total_bits: u64 = fanout.decode_bits.iter().sum();
-            self.m
-                .modelled_decode_unsharded_ns
-                .add(self.ctx.cost.sharded_decode(&[total_bits], 0).as_ns());
-            // Pointer rounds against the LRU cache, in submission order.
-            let mut hits = 0u32;
-            let mut misses = 0u32;
-            let mut batched_pointer = SimTime::ZERO;
-            for round in &trace.pointer_rounds {
-                let mut round_missed = false;
-                for &(sw, range) in &round.keys {
-                    if self.cache.touch(key_of(sw, range)) {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                        round_missed = true;
-                    }
-                }
-                if round.keys.is_empty() || round_missed {
-                    batched_pointer += round.modelled;
-                } else {
-                    batched_pointer += self.ctx.cost.pointer_cache_hit;
-                    self.m.rounds_skipped.inc();
-                }
-            }
-            batched_pointer_total += batched_pointer;
-
-            // Sequential baseline: each wave billed alone; meanwhile fold
-            // the wave's contacts into the batch-wide per-host load.
-            let mut sequential_waves = SimTime::ZERO;
-            let mut requests = 0u64;
-            for wave in &trace.waves {
-                let counts: Vec<usize> = wave.iter().map(|&(_, records)| records).collect();
-                sequential_waves += self.ctx.cost.query_wave(wave.len(), &counts).total();
-                requests += wave.len() as u64;
-                for &(host, records) in wave {
-                    let load = per_host.entry(host).or_insert(BatchedHostLoad {
-                        requests: 0,
-                        records: 0,
-                    });
-                    load.requests += 1;
-                    load.records += records;
-                }
-            }
-
-            self.m.pointer_hits.add(hits as u64);
-            self.m.pointer_misses.add(misses as u64);
-            // Per-class cache effectiveness (the response variant names
-            // the class).
-            self.m.cache_hits_by_class[resp.class_index()].add(hits as u64);
-            self.m.cache_misses_by_class[resp.class_index()].add(misses as u64);
-            per_query.push(PerQuery {
-                sequential: trace.pointer_total() + sequential_waves,
-                batched_pointer,
-                hits,
-                misses,
-                requests,
-            });
-        }
-
-        // One batched fan-out wave covers the whole batch's host contacts.
-        let loads: Vec<BatchedHostLoad> = per_host.values().copied().collect();
-        let batched_wave_total = self.ctx.cost.batched_query_wave(&loads).total();
-        let total_requests: u64 = per_query.iter().map(|q| q.requests).sum();
-        self.m.host_rpcs_issued.add(loads.len() as u64);
-        self.m.host_requests.add(total_requests);
-        self.m
-            .batched_total_ns
-            .add((batched_pointer_total + batched_wave_total).as_ns());
-
+        let keys: Option<Vec<usize>> =
+            (n_dir > 1).then(|| requests.iter().map(|r| home_shard(r, n_dir)).collect());
+        let results = self
+            .pool
+            .run_keyed(&self.ctx, &snapshot, requests, keys.as_deref());
+        self.batches.inc();
+        self.queries.add(results.len() as u64);
         results
             .into_iter()
-            .zip(per_query)
-            .map(|((response, trace, _), q)| {
-                // This query's share of the batched wave, proportional to
-                // its request count (ns math; stats totals above use the
-                // exact batch quantities, not these rounded shares).
-                let share = if total_requests == 0 {
-                    SimTime::ZERO
-                } else {
-                    SimTime(
-                        ((batched_wave_total.as_ns() as u128 * q.requests as u128)
-                            / total_requests as u128) as u64,
-                    )
-                };
-                self.m.queries.inc();
-                self.m.sequential_total_ns.add(q.sequential.as_ns());
-                QueryOutcome {
-                    response,
-                    cost: QueryCost {
-                        sequential: q.sequential,
-                        batched: q.batched_pointer + share,
-                        pointer_hits: q.hits,
-                        pointer_misses: q.misses,
-                    },
-                    deps: trace.deps,
-                }
-            })
+            .map(|(response, trace)| QueryOutcome { response, trace })
             .collect()
     }
 }

@@ -3,7 +3,7 @@
 //! The first query-plane iteration spawned scoped OS threads per
 //! `execute_batch` call; the second kept the threads but pre-sliced each
 //! batch into one message per worker, funnelled results back over an
-//! `mpsc` channel, and rebuilt a `ShardedView` + `QueryExecutor` for
+//! `mpsc` channel, and rebuilt a shard router + `QueryExecutor` for
 //! every query. On model-scale workloads (µs of real compute per query)
 //! that churn was the ceiling DESIGN.md §9 recorded: cold throughput
 //! *fell* as workers grew. This iteration removes the remaining
@@ -22,11 +22,9 @@
 //!   one worker, so the writes are disjoint by construction — and the
 //!   caller stitches them in submission order. No reply channel, no
 //!   merge pass.
-//! * **Per-worker scratch reuse.** One `ShardedView` router (with its
-//!   fan-out counter vectors) is built per claimed chunk and drained
-//!   between queries via [`ShardedView::take_fanout`], instead of being
-//!   reallocated per query. The per-class latency histograms are
-//!   pre-resolved in [`SharedCtx`] as before.
+//! * **No router in the loop.** Each query runs the executor straight
+//!   over the snapshot, so a chunk needs no scratch. The per-class
+//!   latency histograms are pre-resolved in [`SharedCtx`].
 //!
 //! Determinism is preserved by construction: which worker runs a chunk
 //! affects *scheduling only*. Each query runs the shared
@@ -61,7 +59,7 @@ use switchpointer::cost::CostModel;
 use switchpointer::query::{
     ExecutionTrace, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, QUERY_CLASS_NAMES,
 };
-use switchpointer::shard::{ShardFanout, ShardedDirectory, ShardedView};
+use switchpointer::shard::ShardedDirectory;
 use telemetry::EpochParams;
 
 use crate::snapshot::Snapshot;
@@ -144,8 +142,8 @@ impl SharedCtx {
     }
 }
 
-/// One executed query: its response, trace, and per-shard fan-out.
-pub type PoolResult = (QueryResponse, ExecutionTrace, ShardFanout);
+/// One executed query: its response and execution trace.
+pub type PoolResult = (QueryResponse, ExecutionTrace);
 
 /// Chunks per worker a batch is aimed to split into; with the
 /// [`MIN_CHUNK`] floor this is the `max(batch/(4·W), 8)` sizing rule.
@@ -447,9 +445,9 @@ impl WorkerPool {
     ///
     /// `work` is called once per claimed chunk with `(worker id, &[item
     /// indices])` and must return one result per index in order — the
-    /// chunk granularity is what lets callers hoist per-chunk scratch
-    /// (views, routers) out of their per-item loop. A panic inside
-    /// `work` is re-raised here after every other chunk has completed.
+    /// chunk granularity is what lets callers hoist per-chunk scratch out
+    /// of their per-item loop. A panic inside `work` is re-raised here
+    /// after every other chunk has completed.
     pub fn scatter<T, F>(
         &self,
         n_items: usize,
@@ -609,17 +607,10 @@ impl WorkerPool {
         let snapshot = Arc::clone(snapshot);
         let reqs: Arc<[QueryRequest]> = Arc::from(requests);
         self.scatter(reqs.len(), keys, chunk, move |_w, idxs| {
-            // Per-worker scratch, hoisted out of the per-query loop: one
-            // shard router per claimed chunk, its fan-out counters
-            // drained between queries. Every query still reads through
-            // the router, so pointer decodes split per directory shard
-            // and merge back deterministically — answers bit-identical
-            // to the unsharded view at any shard count.
-            let view = ShardedView::new(&*snapshot, &ctx.dir);
             idxs.iter()
                 .map(|&i| {
                     let req = &reqs[i];
-                    let exec = QueryExecutor::new(ctx.query_ctx(), &view);
+                    let exec = QueryExecutor::new(ctx.query_ctx(), &*snapshot);
                     let started = Instant::now();
                     let (resp, trace) = exec.execute_traced(req);
                     // Real wall time of this executor run, recorded per
@@ -633,7 +624,7 @@ impl WorkerPool {
                         crate::home_shard(req, ctx.dir.n_shards()) as u32,
                         started,
                     );
-                    (resp, trace, view.take_fanout())
+                    (resp, trace)
                 })
                 .collect()
         })
@@ -720,8 +711,7 @@ mod tests {
             for _ in 0..2 {
                 let out = pool.run(&ctx, &snapshot, &reqs);
                 assert_eq!(out.len(), reqs.len());
-                for (i, (resp, trace, fanout)) in out.iter().enumerate() {
-                    assert_eq!(fanout.decode_bits.len(), 2, "fan-out sized to dir shards");
+                for (i, (resp, trace)) in out.iter().enumerate() {
                     assert_eq!(
                         trace.pointer_rounds[0].keys,
                         vec![(
@@ -745,7 +735,7 @@ mod tests {
             // Shard-keyed dispatch changes scheduling, never answers.
             let keyed: Vec<usize> = (0..reqs.len()).map(|i| i / 3).collect();
             let out = pool.run_keyed(&ctx, &snapshot, &reqs, Some(&keyed));
-            for (i, (resp, _, _)) in out.iter().enumerate() {
+            for (i, (resp, _)) in out.iter().enumerate() {
                 assert_eq!(
                     format!("{resp:?}"),
                     expected[i],

@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use mphf::Mphf;
 use netsim::packet::{FlowId, NodeId};
+use obsplane::{Counter, MetricsRegistry};
 use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::{shard_of, FlowRecord, FlowStore, StoreDelta};
@@ -273,8 +274,7 @@ impl ShardedHostStore {
 /// Bound on the computational pointer-union memo: beyond this many
 /// distinct keys, further unions are recomputed rather than cached, so a
 /// long-lived snapshot serving sliding epoch windows cannot grow without
-/// limit. (The *modelled* LRU cache is bounded separately by
-/// `QueryPlaneConfig::cache_capacity`.)
+/// limit.
 const UNION_MEMO_CAP: usize = 4096;
 
 /// Lock stripes the union memo is split across. A single global mutex
@@ -289,18 +289,33 @@ const UNION_MEMO_STRIPES: usize = 16;
 type MemoStripe = Mutex<HashMap<(NodeId, u64, u64), BitSet>>;
 
 /// The striped pointer-union memo. Each stripe holds its share of the
-/// global [`UNION_MEMO_CAP`] bound.
+/// global [`UNION_MEMO_CAP`] bound. Lookups count into `hits`/`misses`,
+/// which a query plane points at its registry.
 struct UnionMemo {
     stripes: Vec<MemoStripe>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
 }
 
 impl UnionMemo {
     fn new() -> Self {
+        Self::counting_into(Arc::default(), Arc::default())
+    }
+
+    /// An empty memo counting into the given hit/miss counters.
+    fn counting_into(hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
         UnionMemo {
             stripes: (0..UNION_MEMO_STRIPES)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            hits,
+            misses,
         }
+    }
+
+    /// An empty memo sharing this one's counters.
+    fn empty_like(&self) -> Self {
+        Self::counting_into(self.hits.clone(), self.misses.clone())
     }
 
     fn stripe(&self, sw: NodeId) -> &Mutex<HashMap<(NodeId, u64, u64), BitSet>> {
@@ -308,7 +323,12 @@ impl UnionMemo {
     }
 
     fn get(&self, key: &(NodeId, u64, u64)) -> Option<BitSet> {
-        self.stripe(key.0).lock().unwrap().get(key).cloned()
+        let found = self.stripe(key.0).lock().unwrap().get(key).cloned();
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        found
     }
 
     fn insert_capped(&self, key: (NodeId, u64, u64), bits: &BitSet) {
@@ -453,6 +473,16 @@ impl Snapshot {
             epoch_horizon,
             union_memo: UnionMemo::new(),
         }
+    }
+
+    /// Counts this snapshot's union-memo hits and misses into `reg`, as
+    /// `queryplane.union_memo.hits` / `queryplane.union_memo.misses`.
+    /// Clones of the snapshot keep counting into the same pair.
+    pub fn count_memo_into(&mut self, reg: &MetricsRegistry) {
+        self.union_memo = UnionMemo::counting_into(
+            reg.counter("queryplane.union_memo.hits"),
+            reg.counter("queryplane.union_memo.misses"),
+        );
     }
 
     /// Directory-shard count the deltas report ownership against.
@@ -813,7 +843,8 @@ impl std::fmt::Debug for Snapshot {
 }
 
 /// Clones the frozen data; the union memo is a derived cache and starts
-/// empty in the clone (it cannot affect results, only recomputation).
+/// empty in the clone (it cannot affect results, only recomputation),
+/// counting into the original's hit/miss counters.
 impl Clone for Snapshot {
     fn clone(&self) -> Self {
         Snapshot {
@@ -823,7 +854,7 @@ impl Clone for Snapshot {
             switch_base: self.switch_base.clone(),
             host_base: self.host_base.clone(),
             epoch_horizon: self.epoch_horizon,
-            union_memo: UnionMemo::new(),
+            union_memo: self.union_memo.empty_like(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The whole-result cache.
 //!
-//! Where the query plane's pointer cache shaves the *modelled* cost of a
-//! retrieval round, this cache skips the *computation* of an entire query:
+//! Where the snapshot's union memo skips repeated pointer decodes, this
+//! cache skips the *computation* of an entire query:
 //! a standing query whose dependency state did not change between windows
 //! is served its previous (bit-identical) outcome without touching the
 //! worker pool at all.
@@ -34,18 +34,19 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use netsim::packet::NodeId;
-use queryplane::{QueryCost, QueryOutcome, SnapshotDelta};
-use switchpointer::query::{QueryRequest, QueryResponse, TraceDeps};
+use queryplane::{QueryOutcome, SnapshotDelta};
+use switchpointer::query::{ExecutionTrace, QueryRequest, QueryResponse};
 use switchpointer::shard::host_shard_of;
 
 /// A retained outcome plus the bookkeeping its validity hangs on.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     pub response: QueryResponse,
-    pub cost: QueryCost,
-    pub deps: TraceDeps,
+    /// The execution trace that produced `response`; its `deps` are the
+    /// entry's dependency set.
+    pub trace: ExecutionTrace,
     /// The shard dimension of the dependency set: the directory shards
-    /// owning the hosts in `deps` (under the cache's configured shard
+    /// owning the hosts in `trace.deps` (under the cache's configured shard
     /// count). A sharded deployment broadcasts eviction invalidations per
     /// shard, so entries also fall when a whole owning shard is rescanned.
     pub dep_shards: BTreeSet<usize>,
@@ -125,6 +126,7 @@ impl ResultCache {
         }
         self.by_stamp.insert(self.clock, *req);
         let dep_shards: BTreeSet<usize> = outcome
+            .trace
             .deps
             .hosts
             .iter()
@@ -136,8 +138,7 @@ impl ResultCache {
                 self.clock,
                 CachedResult {
                     response: outcome.response.clone(),
-                    cost: outcome.cost,
-                    deps: outcome.deps.clone(),
+                    trace: outcome.trace.clone(),
                     dep_shards,
                     computed_at_horizon: horizon,
                 },
@@ -153,8 +154,9 @@ impl ResultCache {
 
     /// Full delta invalidation, eviction-aware. Two rules compose:
     ///
-    /// 1. *Precise (per host/switch).* Entries whose [`TraceDeps`]
-    ///    intersect the delta's dirty switches or hosts fall — this alone
+    /// 1. *Precise (per host/switch).* Entries whose
+    ///    [`TraceDeps`](switchpointer::query::TraceDeps) intersect the
+    ///    delta's dirty switches or hosts fall — this alone
     ///    already covers eviction-forced rescans, because a rescanned host
     ///    is in `dirty_hosts` and every host read is journaled in the
     ///    entry's dep set.
@@ -191,7 +193,7 @@ impl ResultCache {
             .entries
             .iter()
             .filter(|(_, (_, c))| {
-                c.deps.intersects(dirty_switches, dirty_hosts)
+                c.trace.deps.intersects(dirty_switches, dirty_hosts)
                     || rescanned_shards.iter().any(|s| c.dep_shards.contains(s))
             })
             .map(|(k, (stamp, _))| (*k, *stamp))
@@ -232,6 +234,7 @@ mod tests {
     use std::collections::BTreeSet;
     use switchpointer::analyzer::TopKResult;
     use switchpointer::cost::QueryWaveCost;
+    use switchpointer::query::TraceDeps;
     use telemetry::EpochRange;
 
     fn req(switch: u32) -> QueryRequest {
@@ -250,15 +253,12 @@ mod tests {
                 pointer_retrieval: SimTime::ZERO,
                 wave: QueryWaveCost::default(),
             }),
-            cost: QueryCost {
-                sequential: SimTime::ZERO,
-                batched: SimTime::ZERO,
-                pointer_hits: 0,
-                pointer_misses: 0,
-            },
-            deps: TraceDeps {
-                switches: BTreeSet::from([NodeId(switch)]),
-                hosts: hosts.iter().map(|&h| NodeId(h)).collect(),
+            trace: ExecutionTrace {
+                deps: TraceDeps {
+                    switches: BTreeSet::from([NodeId(switch)]),
+                    hosts: hosts.iter().map(|&h| NodeId(h)).collect(),
+                },
+                ..ExecutionTrace::default()
             },
         }
     }

@@ -1,9 +1,9 @@
 //! The front-end: the shard router served over real connections.
 //!
-//! This is the in-process [`ShardedView`](switchpointer::shard::ShardedView)
-//! architecture with the *reach* made real: the front-end embeds the
-//! [`BackendRouter`] over [`RemoteShard`] backends, each a loopback TCP
-//! connection to one shard server. Pointer unions reassemble from the
+//! This is the in-process [`ShardedAnalyzer`](switchpointer::shard::ShardedAnalyzer)
+//! parity fixture with the *reach* made real: the front-end embeds the
+//! same [`BackendRouter`] over [`RemoteShard`] backends, each a loopback
+//! TCP connection to one shard server. Pointer unions reassemble from the
 //! shards' masked slices (bit-identical to the flat union — the slot
 //! masks partition the directory range), host reads route to the owning
 //! shard, and every query wave coalesces into **one request frame per
@@ -622,12 +622,7 @@ impl FrontInner {
     }
 
     fn absorb(&self, c: &RouterCounters) {
-        let mut total = self.counters.lock().unwrap();
-        total.fanout.absorb(&c.fanout);
-        total.rpcs += c.rpcs;
-        total.wave_rpcs += c.wave_rpcs;
-        total.wave_rounds += c.wave_rounds;
-        total.rounds += c.rounds;
+        self.counters.lock().unwrap().absorb(c);
     }
 }
 

@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use suite::netsim::prelude::*;
-use suite::queryplane::QueryPlaneConfig;
+use suite::queryplane::{price_batch, PointerCache, QueryPlaneConfig};
 use suite::streamplane::{StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
@@ -79,7 +79,6 @@ fn main() {
                 workers: 8,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -143,9 +142,16 @@ fn main() {
             println!("    [{:?}] {}: {}", inc.kind, inc.sub, inc.summary);
         }
         for (ticket, outcome) in &report.one_shot {
+            // Modelled pricing is post hoc: the one-shot's trace, priced
+            // alone against a cold pointer cache.
+            let price = price_batch(
+                analyzer.cost(),
+                &mut PointerCache::new(4096),
+                &[&outcome.trace],
+            );
             println!(
-                "    one-shot {ticket:?} answered: batched cost {}",
-                outcome.cost.batched
+                "    one-shot {ticket:?} answered: modelled cost {}",
+                price.batched_total
             );
         }
         // Sanity: the contention watch appears in every report.
@@ -153,7 +159,11 @@ fn main() {
     }
 
     let stats = sp.stats();
-    let plane = sp.plane().stats();
+    let counter = |name: &str| sp.metrics().counter(name).get();
+    let (memo_hits, memo_misses) = (
+        counter("queryplane.union_memo.hits"),
+        counter("queryplane.union_memo.misses"),
+    );
     println!("\n== stream accounting ==");
     println!("epoch ticks observed    : {}", epochs_seen.borrow());
     println!(
@@ -167,19 +177,18 @@ fn main() {
         stats.delta_savings(),
     );
     println!(
-        "result cache            : {} hits / {} misses ({:.0}% hit rate), {} invalidated, saved {}",
+        "result cache            : {} hits / {} misses ({:.0}% hit rate), {} invalidated",
         stats.result_hits,
         stats.result_misses,
         stats.result_hit_rate() * 100.0,
         stats.invalidated,
-        stats.modelled_saved,
     );
     println!(
-        "pool execution          : {} queries in {} batches, pointer cache {:.0}% hits, {:.1}x modelled speedup",
-        plane.queries,
-        plane.batches,
-        plane.cache_hit_rate() * 100.0,
-        plane.modelled_speedup(),
+        "pool execution          : {} queries in {} batches, union memo {} hits / {} misses",
+        counter("queryplane.queries"),
+        counter("queryplane.batches"),
+        memo_hits,
+        memo_misses,
     );
     println!("incident log            : {} entries", sp.incidents().len());
     for inc in sp.incidents() {

@@ -132,7 +132,7 @@ fn main() {
         "wire traffic: {} RPCs in {} rounds across {} shards ({} queries)",
         counters.rpcs,
         counters.rounds,
-        counters.fanout.decode_bits.len(),
+        counters.decode_bits.len(),
         cluster.front().queries(),
     );
     cluster.shutdown();

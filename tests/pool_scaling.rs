@@ -141,7 +141,7 @@ fn verdicts_invariant_across_workers_chunks_and_keys() {
                 let keys = keyed.then_some(keys.as_slice());
                 let out = pool.run_keyed_chunked(&ctx, &snapshot, &reqs, keys, chunk);
                 assert_eq!(out.len(), reqs.len());
-                for (i, (resp, _, _)) in out.iter().enumerate() {
+                for (i, (resp, _)) in out.iter().enumerate() {
                     assert_eq!(
                         format!("{resp:?}"),
                         baseline[i],
@@ -261,7 +261,7 @@ fn full_plane_parity_holds_under_randomized_chunking_with_steal_pressure() {
         let pool = WorkerPool::with_metrics(workers, &reg);
         let chunk = Some(1 + rng.below(7) as usize);
         let out = pool.run_keyed_chunked(&ctx, &snapshot, &reqs, Some(&skew_keys), chunk);
-        for (i, (resp, _, _)) in out.iter().enumerate() {
+        for (i, (resp, _)) in out.iter().enumerate() {
             assert_eq!(
                 format!("{resp:?}"),
                 baseline[i],

@@ -1,10 +1,14 @@
 //! The query plane's contract: (a) verdicts are bit-identical to the
 //! sequential analyzer's no matter how many workers execute the batch;
-//! (b) pointer-cache hit accounting is deterministic and matches a
-//! hand-computed schedule.
+//! (b) outcomes depend only on the snapshot and the requests; (c) the
+//! post-hoc modelled pricing (`price_batch`) is deterministic and matches
+//! a hand-computed pointer-cache schedule; (d) the snapshot's union memo
+//! reports its hits and misses.
 
 use netsim::prelude::*;
-use queryplane::{QueryPlane, QueryPlaneConfig};
+use queryplane::{
+    price_batch, BatchPrice, PointerCache, QueryOutcome, QueryPlane, QueryPlaneConfig,
+};
 use switchpointer::query::QueryRequest;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
@@ -117,13 +121,12 @@ fn verdicts_identical_across_worker_counts() {
 
     let mut per_worker_costs = Vec::new();
     for workers in [1usize, 2, 8] {
-        let mut plane = QueryPlane::from_analyzer(
+        let plane = QueryPlane::from_analyzer(
             &analyzer,
             QueryPlaneConfig {
                 workers,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
         );
@@ -136,15 +139,11 @@ fn verdicts_identical_across_worker_counts() {
                 "query {i} diverged from the sequential analyzer at {workers} workers"
             );
         }
-        // Cost accounting must be deterministic too, not just verdicts.
-        per_worker_costs.push(
-            outcomes
-                .iter()
-                .map(|o| format!("{:?}", o.cost))
-                .collect::<Vec<_>>(),
-        );
+        // Modelled pricing must be deterministic too, not just verdicts.
+        let price = price(&analyzer, &outcomes, 4096);
         // The repeated TopK hit every pointer key of its round.
-        assert!(plane.stats().pointer_hits >= 1);
+        assert!(price.pointer_hits >= 1);
+        per_worker_costs.push(format!("{:?}", price.queries));
     }
     assert_eq!(per_worker_costs[0], per_worker_costs[1]);
     assert_eq!(per_worker_costs[0], per_worker_costs[2]);
@@ -157,13 +156,12 @@ fn sharding_choice_does_not_change_answers() {
     let reqs = query_set(&tb, victim);
     let mut renders = Vec::new();
     for shards in [1usize, 3, 16] {
-        let mut plane = QueryPlane::from_analyzer(
+        let plane = QueryPlane::from_analyzer(
             &analyzer,
             QueryPlaneConfig {
                 workers: 4,
                 shards,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
         );
@@ -220,64 +218,53 @@ fn pointer_cache_accounting_matches_hand_computed_schedule() {
         topk(s1, r1),
     ];
 
-    let mut roomy = QueryPlane::from_analyzer(
+    let plane = QueryPlane::from_analyzer(
         &analyzer,
         QueryPlaneConfig {
             workers: 2,
             shards: 4,
             directory_shards: 1,
-            cache_capacity: 64,
             retention: None,
         },
     );
-    let outcomes = roomy.execute_batch(&reqs);
-    let hit_pattern: Vec<(u32, u32)> = outcomes
-        .iter()
-        .map(|o| (o.cost.pointer_hits, o.cost.pointer_misses))
-        .collect();
+    let outcomes = plane.execute_batch(&reqs);
+    let hit_pattern = |p: &BatchPrice| -> Vec<(u32, u32)> {
+        p.queries
+            .iter()
+            .map(|c| (c.pointer_hits, c.pointer_misses))
+            .collect()
+    };
+
+    let roomy = price(&analyzer, &outcomes, 64);
     assert_eq!(
-        hit_pattern,
+        hit_pattern(&roomy),
         vec![(0, 1), (1, 0), (0, 1), (0, 1), (1, 0)],
         "roomy cache schedule"
     );
-    assert_eq!(roomy.stats().pointer_hits, 2);
-    assert_eq!(roomy.stats().pointer_misses, 3);
-    assert_eq!(roomy.stats().rounds_skipped, 2);
+    assert_eq!(roomy.pointer_hits, 2);
+    assert_eq!(roomy.pointer_misses, 3);
+    assert_eq!(roomy.rounds_skipped, 2);
 
     // Cache-served rounds skip the ≈7.5 ms retrieval: the two hit queries
     // must be billed far less than their sequential baseline.
-    for (i, o) in outcomes.iter().enumerate() {
-        if hit_pattern[i].0 > 0 {
+    for (i, c) in roomy.queries.iter().enumerate() {
+        if c.pointer_hits > 0 {
             assert!(
-                o.cost.batched + analyzer.cost().pointer_retrieval(1)
-                    < o.cost.sequential + analyzer.cost().pointer_cache_hit,
+                c.batched + analyzer.cost().pointer_retrieval(1)
+                    < c.sequential + analyzer.cost().pointer_cache_hit,
                 "query {i} should have skipped its retrieval round"
             );
         }
     }
 
-    let mut tiny = QueryPlane::from_analyzer(
-        &analyzer,
-        QueryPlaneConfig {
-            workers: 2,
-            shards: 4,
-            directory_shards: 1,
-            cache_capacity: 1,
-            retention: None,
-        },
-    );
-    let outcomes = tiny.execute_batch(&reqs);
-    let hit_pattern: Vec<(u32, u32)> = outcomes
-        .iter()
-        .map(|o| (o.cost.pointer_hits, o.cost.pointer_misses))
-        .collect();
+    let tiny = price(&analyzer, &outcomes, 1);
     assert_eq!(
-        hit_pattern,
+        hit_pattern(&tiny),
         vec![(0, 1), (1, 0), (0, 1), (0, 1), (0, 1)],
         "capacity-1 LRU schedule"
     );
-    assert_eq!(tiny.stats().pointer_hits, 1);
-    assert_eq!(tiny.stats().pointer_misses, 4);
+    assert_eq!(tiny.pointer_hits, 1);
+    assert_eq!(tiny.pointer_misses, 4);
 }
 
 #[test]
@@ -302,10 +289,10 @@ fn batching_and_caching_beat_sequential_accounting() {
             }
         }
     }
-    let mut plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
+    let plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
     let outcomes = plane.execute_batch(&reqs);
-    let stats = plane.stats();
-    assert_eq!(stats.queries, reqs.len() as u64);
+    let stats = price(&analyzer, &outcomes, 4096);
+    assert_eq!(stats.queries.len(), reqs.len());
     assert!(
         stats.cache_hit_rate() > 0.5,
         "repeat-heavy workload must hit"
@@ -327,4 +314,96 @@ fn batching_and_caching_beat_sequential_accounting() {
     // sequential baseline.
     assert!(stats.batched_total <= stats.sequential_total);
     assert_eq!(outcomes.len(), reqs.len());
+}
+
+/// Prices `outcomes` (submission order) against a fresh pointer cache of
+/// `capacity` keys.
+fn price(
+    analyzer: &switchpointer::Analyzer,
+    outcomes: &[QueryOutcome],
+    capacity: usize,
+) -> BatchPrice {
+    let traces: Vec<_> = outcomes.iter().map(|o| &o.trace).collect();
+    price_batch(analyzer.cost(), &mut PointerCache::new(capacity), &traces)
+}
+
+#[test]
+fn outcomes_depend_only_on_snapshot_and_requests() {
+    let (tb, victim) = fat_tree_testbed();
+    let analyzer = tb.analyzer();
+    let reqs = query_set(&tb, victim);
+    let cfg = |workers| QueryPlaneConfig {
+        workers,
+        shards: 8,
+        directory_shards: 1,
+        retention: None,
+    };
+    let render = |outcomes: &[QueryOutcome]| format!("{outcomes:?}");
+
+    // A plane with history: it already ran the batch, then took an idle
+    // incremental refresh (nothing changed since its freeze).
+    let mut used = QueryPlane::from_analyzer(&analyzer, cfg(4));
+    used.execute_batch(&reqs);
+    assert!(used.refresh_delta(&analyzer).is_empty());
+    let replayed = used.execute_batch(&reqs);
+    let fresh = QueryPlane::from_analyzer(&analyzer, cfg(4)).execute_batch(&reqs);
+    assert_eq!(render(&replayed), render(&fresh));
+
+    // Pricing is a pure function of the traces: 1-worker and 8-worker
+    // outcomes price identically.
+    let one = QueryPlane::from_analyzer(&analyzer, cfg(1)).execute_batch(&reqs);
+    let eight = QueryPlane::from_analyzer(&analyzer, cfg(8)).execute_batch(&reqs);
+    assert_eq!(price(&analyzer, &one, 4096), price(&analyzer, &eight, 4096));
+}
+
+#[test]
+fn union_memo_reports_hits_and_misses() {
+    let (mut tb, _victim) = fat_tree_testbed();
+    let mut plane = QueryPlane::from_analyzer(&tb.analyzer(), QueryPlaneConfig::default());
+    let memo = |plane: &QueryPlane| {
+        let reg = plane.metrics();
+        (
+            reg.counter("queryplane.union_memo.hits").get(),
+            reg.counter("queryplane.union_memo.misses").get(),
+        )
+    };
+    let edge = tb.node("edge0_0");
+    let batch = vec![
+        QueryRequest::TopK {
+            switch: edge,
+            k: 10,
+            range: EpochRange { lo: 10, hi: 20 },
+        };
+        4
+    ];
+
+    // The first batch fills the memo; the identical repeat hits it.
+    plane.execute_batch(&batch);
+    let (hits0, misses0) = memo(&plane);
+    assert!(misses0 >= 1, "a cold memo must miss");
+    plane.execute_batch(&batch);
+    let (hits1, misses1) = memo(&plane);
+    assert!(hits1 >= hits0 + 4, "a repeated batch must hit the memo");
+    assert_eq!(misses1, misses0, "a warm memo must not miss");
+
+    // Traffic through the switch dirties it; after the delta refresh its
+    // next union read misses.
+    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
+    tb.sim.add_udp_flow(UdpFlowSpec::burst(
+        a,
+        b,
+        Priority::LOW,
+        SimTime::from_ms(40),
+        SimTime::from_ms(1),
+        GBPS,
+    ));
+    tb.sim.run_until(SimTime::from_ms(42));
+    let delta = plane.refresh_delta(&tb.analyzer());
+    assert!(
+        delta.dirty_switches.contains(&edge),
+        "the burst crosses {edge:?}"
+    );
+    plane.execute(batch[0]);
+    let (_, misses2) = memo(&plane);
+    assert!(misses2 > misses1, "a dirtied switch's union must miss");
 }

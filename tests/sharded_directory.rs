@@ -7,15 +7,19 @@
 //!     windows, the `streamplane` regime).
 //! (b) **The partition is real.** Shards own disjoint host slices whose
 //!     union is the whole directory; per-shard decode + merge equals the
-//!     flat decode; fan-out counters attribute work to the owning shards.
+//!     flat decode; the `ShardedAnalyzer` router's counters attribute
+//!     work to the owning shards.
 //! (c) **Sharding pays.** The modelled decode cost of a balanced 4-shard
 //!     directory is below the single-coordinator cost on the same queries.
+//! (d) **The query plane is shard-count invariant.** It routes nothing —
+//!     `directory_shards` only keys dispatch and partitions deltas — and
+//!     its verdicts match the analyzer's at every shard count.
 
 use netsim::prelude::*;
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use switchpointer::query::QueryRequest;
-use switchpointer::shard::ShardedAnalyzer;
+use switchpointer::shard::{RouterCounters, ShardedAnalyzer};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
@@ -107,28 +111,49 @@ fn sharded_analyzer_verdicts_identical_on_storm_workload() {
         .iter()
         .map(|r| format!("{:?}", analyzer.execute(r)))
         .collect();
+    let mut decode_totals = Vec::new();
     for n_shards in [1usize, 2, 4, 8] {
         let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
         assert_eq!(sharded.n_shards(), n_shards);
-        let mut touched_hosts = 0u64;
-        let mut merges = 0u64;
+        let mut total = RouterCounters::default();
+        let mut modelled_decode = SimTime::ZERO;
         for (i, req) in reqs.iter().enumerate() {
-            let (resp, _trace, fanout) = sharded.execute_traced(req);
+            let (resp, _trace, counters) = sharded.execute_traced(req);
             assert_eq!(
                 format!("{resp:?}"),
                 baseline[i],
                 "query {i} diverged at {n_shards} directory shards"
             );
-            assert_eq!(fanout.decode_bits.len(), n_shards);
-            touched_hosts += fanout.host_reads.iter().sum::<u64>();
-            merges += fanout.merges;
+            assert_eq!(counters.decode_bits.len(), n_shards);
+            modelled_decode += counters.modelled_decode(analyzer.cost());
+            total.absorb(&counters);
         }
-        assert!(touched_hosts > 0, "the workload must fan out to hosts");
+        assert!(
+            total.host_reads.iter().sum::<u64>() > 0,
+            "the workload must fan out to hosts"
+        );
         if n_shards > 1 {
             // Reassembled pointer unions are cross-shard merges.
-            assert!(merges > 0, "sharded decode must merge across shards");
+            assert!(total.merges > 0, "sharded decode must merge across shards");
         }
+        if n_shards >= 4 {
+            // With few distinct decoded hosts a 2-way split can land on
+            // one shard; by 4 shards the stable hash must spread them.
+            assert!(
+                total.decode_bits.iter().filter(|&&b| b > 0).count() > 1,
+                "decode work must actually spread across {n_shards} shards"
+            );
+        }
+        decode_totals.push((n_shards, modelled_decode));
     }
+    // The acceptance bar: 4-shard modelled decode cost below 1-shard.
+    let at = |n: usize| decode_totals.iter().find(|&&(s, _)| s == n).unwrap().1;
+    assert!(
+        at(4) < at(1),
+        "4-shard decode ({}) must model below 1-shard ({})",
+        at(4),
+        at(1)
+    );
 }
 
 #[test]
@@ -140,15 +165,13 @@ fn query_plane_verdicts_identical_across_directory_shards() {
         .iter()
         .map(|r| format!("{:?}", analyzer.execute(r)))
         .collect();
-    let mut decode_totals = Vec::new();
     for directory_shards in [1usize, 2, 4, 8] {
-        let mut plane = QueryPlane::from_analyzer(
+        let plane = QueryPlane::from_analyzer(
             &analyzer,
             QueryPlaneConfig {
                 workers: 4,
                 shards: 8,
                 directory_shards,
-                cache_capacity: 4096,
                 retention: None,
             },
         );
@@ -160,32 +183,7 @@ fn query_plane_verdicts_identical_across_directory_shards() {
                 "query {i} diverged at {directory_shards} directory shards"
             );
         }
-        let fanout = plane.fanout();
-        assert_eq!(fanout.decode_bits.len(), directory_shards);
-        if directory_shards > 1 {
-            assert!(
-                plane.stats().cross_shard_merges > 0,
-                "sharded decode must merge"
-            );
-        }
-        if directory_shards >= 4 {
-            // With few distinct decoded hosts a 2-way split can land on
-            // one shard; by 4 shards the stable hash must spread them.
-            assert!(
-                fanout.decode_bits.iter().filter(|&&b| b > 0).count() > 1,
-                "decode work must actually spread across {directory_shards} shards"
-            );
-        }
-        decode_totals.push((directory_shards, plane.stats().modelled_decode_total));
     }
-    // The acceptance bar: 4-shard modelled decode cost below 1-shard.
-    let at = |n: usize| decode_totals.iter().find(|&&(s, _)| s == n).unwrap().1;
-    assert!(
-        at(4) < at(1),
-        "4-shard decode ({}) must model below 1-shard ({})",
-        at(4),
-        at(1)
-    );
 }
 
 /// The continuous-watch fixture: the chain deployment with standing
@@ -259,7 +257,6 @@ fn continuous_watch_verdicts_identical_across_directory_shards() {
                     workers: 4,
                     shards: 4,
                     directory_shards,
-                    cache_capacity: 1024,
                     retention: None,
                 },
                 result_cache_capacity: 256,
@@ -322,7 +319,6 @@ fn subscriptions_partition_across_shards() {
                 workers: 2,
                 shards: 4,
                 directory_shards: 4,
-                cache_capacity: 256,
                 retention: None,
             },
             result_cache_capacity: 64,

@@ -266,7 +266,6 @@ fn drive(workers: usize, window_ms: u64, windows: u64) -> (Vec<String>, Vec<Vec<
                 workers,
                 shards: 4,
                 directory_shards: 1,
-                cache_capacity: 1024,
                 retention: None,
             },
             result_cache_capacity: 256,
@@ -496,7 +495,6 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
                     workers: 2,
                     shards: 4,
                     directory_shards,
-                    cache_capacity: 1024,
                     retention: None,
                 },
                 result_cache_capacity: 256,
@@ -594,7 +592,6 @@ fn standing_watch_straddling_gc_sweeps_rederives_bit_identically() {
                     workers: 2,
                     shards: 4,
                     directory_shards,
-                    cache_capacity: 1024,
                     retention: Some(RetentionPolicy::horizon(24)),
                 },
                 result_cache_capacity: 256,

@@ -39,7 +39,7 @@ use switchpointer::analyzer::{
 use switchpointer::cost::{LatencyBreakdown, QueryWaveCost};
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{QueryRequest, QueryResponse};
-use switchpointer::shard::ShardedAnalyzer;
+use switchpointer::shard::{RouterCounters, ShardedAnalyzer};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::frame::{read_frame, WireError, MAX_FRAME};
 use telemetry::EpochRange;
@@ -737,6 +737,56 @@ fn wire_verdicts_bit_identical_to_sharded_analyzer_at_1_2_4_8_shards() {
     }
 }
 
+/// The wire front-end and the in-process `ShardedAnalyzer` run the same
+/// `BackendRouter` code over remote and local backends, so on the same
+/// requests every routing counter must agree field by field.
+#[test]
+fn wire_router_counters_equal_sharded_analyzer_at_1_2_4_8_shards() {
+    /// `after - before`, field by field (per-shard vectors elementwise;
+    /// `before` may still be the empty default).
+    fn delta(after: &RouterCounters, before: &RouterCounters) -> RouterCounters {
+        let sub = |a: &[u64], b: &[u64]| -> Vec<u64> {
+            a.iter()
+                .enumerate()
+                .map(|(i, x)| x - b.get(i).copied().unwrap_or(0))
+                .collect()
+        };
+        RouterCounters {
+            decode_bits: sub(&after.decode_bits, &before.decode_bits),
+            host_reads: sub(&after.host_reads, &before.host_reads),
+            merges: after.merges - before.merges,
+            merged_bits: after.merged_bits - before.merged_bits,
+            rpcs: after.rpcs - before.rpcs,
+            wave_rpcs: after.wave_rpcs - before.wave_rpcs,
+            wave_rounds: after.wave_rounds - before.wave_rounds,
+            rounds: after.rounds - before.rounds,
+        }
+    }
+
+    let (mut tb, victim, _) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(40));
+    let analyzer = tb.analyzer();
+    let reqs = storm_queries(&tb, victim);
+    for n_shards in [1usize, 2, 4, 8] {
+        let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
+        let mut local = RouterCounters::default();
+        for req in &reqs {
+            local.absorb(&sharded.execute_traced(req).2);
+        }
+        let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+        let front = cluster.front();
+        let before = front.counters();
+        for req in &reqs {
+            front.execute(req);
+        }
+        let wire = delta(&front.counters(), &before);
+        assert_eq!(wire, local, "router counters diverged at {n_shards} shards");
+        assert_eq!(wire.decode_bits.len(), n_shards);
+        assert!(wire.rpcs >= wire.rounds);
+        cluster.shutdown();
+    }
+}
+
 // ----------------------------------------------------------------------
 // (b continued) Standing-query incident stream parity + (c) failure
 // injection
@@ -845,7 +895,6 @@ fn run_stream_parity(n_shards: usize, inject_failures: bool) {
                 workers: 4,
                 shards: 8,
                 directory_shards: n_shards,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -981,7 +1030,6 @@ fn incident_stream_bit_identical_across_primary_kill() {
                 workers: 4,
                 shards: 8,
                 directory_shards: n_shards,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -1132,13 +1180,6 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
             },
             ConfigError::ZeroDirectoryShards,
         ),
-        (
-            QueryPlaneConfig {
-                cache_capacity: 0,
-                ..QueryPlaneConfig::default()
-            },
-            ConfigError::ZeroCacheCapacity,
-        ),
     ];
     for (cfg, want) in cases {
         assert_eq!(cfg.validate(), Err(want));
@@ -1165,14 +1206,14 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
             &analyzer,
             StreamConfig {
                 plane: QueryPlaneConfig {
-                    cache_capacity: 0,
+                    directory_shards: 0,
                     ..QueryPlaneConfig::default()
                 },
                 result_cache_capacity: 16,
             }
         )
         .err(),
-        Some(ConfigError::ZeroCacheCapacity)
+        Some(ConfigError::ZeroDirectoryShards)
     );
     // The wire layer validates through the same path.
     assert!(WireCluster::launch(&analyzer, 0, WireConfig::default()).is_err());
